@@ -8,17 +8,14 @@ excitation of the center of mass), and RF gates on the nuclear qubits.
 
 from .config import (
     DotConfig,
-    FieldPoint,
     K_CYC_MEV_PER_T,
     b_field_from_ratio,
-    field_point,
     nuclear_larmor_mhz,
     validate_config,
     zeeman_ratio,
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DegenerateModelError,
     DegenerateSelectionError,
     DotnmrError,
@@ -36,7 +33,7 @@ from .gates import (
     rotate_qubit,
     rwa_pulse,
 )
-from .hyperfine import CouplingPoint, coupling_a, coupling_point, delta_cm, delta_m
+from .hyperfine import coupling_a, delta_cm, delta_m
 from .numerics import EigenSystem, bracket_roots, evolve, hermitian_eig
 from .output import (
     RunManifest,

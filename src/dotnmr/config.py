@@ -54,20 +54,16 @@ class DotConfig:
 CONFIG_FIELDS = tuple(f.name for f in fields(DotConfig))
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """A sweep point: dimensionless ratio x and the corresponding field in T."""
-
-    x: float
-    b_tesla: float
-
-
 def validate_config(cfg: DotConfig) -> DotConfig:
     """Check all parameter invariants; returns cfg unchanged when valid.
 
     Raises ConfigError naming the offending field.  Soft inconsistencies
     (gamma_e not matching g_factor, weak gamma_e/gamma_n hierarchy) only warn.
     """
+    for name in CONFIG_FIELDS:
+        value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if not cfg.hbar_omega0 > 0:
         raise ConfigError(f"hbar_omega0 must be > 0, got {cfg.hbar_omega0}")
     if not cfg.mstar_ratio > 0:
@@ -119,10 +115,6 @@ def zeeman_ratio(cfg: DotConfig, x: float) -> float:
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     return 0.5 * cfg.g_factor * cfg.mstar_ratio * x
-
-
-def field_point(cfg: DotConfig, x: float) -> FieldPoint:
-    return FieldPoint(x=x, b_tesla=b_field_from_ratio(cfg, x))
 
 
 def nuclear_larmor_mhz(cfg: DotConfig, b_tesla: float) -> float:

@@ -17,10 +17,6 @@ class NonHermitianError(DotnmrError):
     """Matrix handed to the eigensolver is not Hermitian within tolerance."""
 
 
-class ConvergenceError(DotnmrError):
-    """Jacobi iteration failed to reach the off-diagonal threshold."""
-
-
 class ParityError(DotnmrError):
     """Violation of the m-parity / total-spin rule for two electrons."""
 

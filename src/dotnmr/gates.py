@@ -181,35 +181,22 @@ def _optimized_overlap(u: np.ndarray, ideal: np.ndarray) -> float:
     """max over local Z phases of |Tr(ideal^dag (Rz x Rz) u)|^2.
 
     Since Rz x Rz is diagonal the trace reduces to four phased diagonal
-    entries of u @ ideal^dag; a 256^2 coarse grid is refined coordinate-wise
-    by golden section.
+    entries m of u @ ideal^dag: e^{-i a/2} P(b) + e^{i a/2} Q(b), with
+    P(b) = e^{-i b/2} m0 + e^{i b/2} m1 and Q(b) likewise from m2, m3.  Its
+    maximum over a is exactly |P| + |Q| = |m0 + e^{i b} m1| + |m2 + e^{i b} m3|,
+    which has period 2 pi in b; a 256-point grid over b is refined by golden
+    section.
     """
     m = np.diag(u @ ideal.conj().T)
 
-    def overlap(alpha: float, beta: float) -> float:
-        tr = (
-            np.exp(-0.5j * (alpha + beta)) * m[0]
-            + np.exp(-0.5j * (alpha - beta)) * m[1]
-            + np.exp(0.5j * (alpha - beta)) * m[2]
-            + np.exp(0.5j * (alpha + beta)) * m[3]
-        )
-        return float(abs(tr) ** 2)
+    def overlap(beta):
+        phase = np.exp(1j * beta)
+        return (np.abs(m[0] + phase * m[1]) + np.abs(m[2] + phase * m[3])) ** 2
 
     grid = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    a_mesh, b_mesh = np.meshgrid(grid, grid, indexing="ij")
-    tr = (
-        np.exp(-0.5j * (a_mesh + b_mesh)) * m[0]
-        + np.exp(-0.5j * (a_mesh - b_mesh)) * m[1]
-        + np.exp(0.5j * (a_mesh - b_mesh)) * m[2]
-        + np.exp(0.5j * (a_mesh + b_mesh)) * m[3]
-    )
-    i, j = np.unravel_index(int(np.argmax(np.abs(tr) ** 2)), tr.shape)
-    alpha, beta = float(grid[i]), float(grid[j])
+    beta = float(grid[int(np.argmax(overlap(grid)))])
     step = 2.0 * math.pi / 256
-    for _ in range(3):
-        alpha = _golden_max(lambda a: overlap(a, beta), alpha - step, alpha + step)
-        beta = _golden_max(lambda b: overlap(alpha, b), beta - step, beta + step)
-    return overlap(alpha, beta)
+    return float(overlap(_golden_max(overlap, beta - step, beta + step)))
 
 
 def cnot_conditional(

@@ -14,7 +14,6 @@ hyperfine_c * Delta * l0^2 / 2 in MHz; singlet electrons are uncoupled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .config import DotConfig
 from .errors import ParityError
@@ -44,31 +43,3 @@ def coupling_a(
         return 0.0
     density = delta_cm(cfg, x, m_abs) if ir_excited else delta_m(cfg, x, m_abs)
     return 0.5 * cfg.hyperfine_c * density
-
-
-@dataclass(frozen=True)
-class CouplingPoint:
-    """Effective coupling at one sweep point.
-
-    delta_l0sq is the coupling-relevant density: 0 in singlet windows (the
-    nucleus is decoupled there), the |m|-branch density in triplet windows.
-    """
-
-    x: float
-    m_abs: int
-    delta_l0sq: float
-    a_mhz: float
-    ir_excited: bool
-
-
-def coupling_point(
-    cfg: DotConfig, x: float, m_abs: int, s_total: int, ir_excited: bool = False
-) -> CouplingPoint:
-    a = coupling_a(cfg, x, m_abs, s_total, ir_excited)
-    if s_total == 0:
-        density = 0.0
-    else:
-        density = delta_cm(cfg, x, m_abs) if ir_excited else delta_m(cfg, x, m_abs)
-    return CouplingPoint(
-        x=x, m_abs=m_abs, delta_l0sq=density, a_mhz=a, ir_excited=ir_excited
-    )

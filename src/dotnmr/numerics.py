@@ -1,23 +1,22 @@
 """Dense Hermitian eigensolver, unitary propagation and 1-D root bracketing.
 
 All matrices here are small (dim <= 16) complex numpy arrays with entries in
-MHz.  The eigendecomposition is a cyclic complex Jacobi iteration: at these
-dimensions it is robust, dependency-free and bit-deterministic, which keeps
-sweep outputs reproducible.  Kets are plain complex vectors normalized to 1.
+MHz.  The eigendecomposition is LAPACK's Hermitian solver (numpy.linalg.eigh);
+each eigenvector's phase is then fixed so that its largest-magnitude component
+is real and positive, which makes repeated calls bitwise identical.  Kets are
+plain complex vectors normalized to 1.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NonHermitianError
+from .errors import NonHermitianError
 
 MAX_DIM = 16
-MAX_SWEEPS = 100
-OFFDIAG_FACTOR = 1e-14     # convergence threshold relative to max|H|
 HERMITICITY_TOL = 1e-12
 
 ROOT_XTOL = 1e-10          # bisection interval width
@@ -32,13 +31,15 @@ class EigenSystem(NamedTuple):
 
 
 def require_hermitian(h) -> np.ndarray:
-    """Validate and return h as a square complex array, dim <= 16."""
+    """Validate and return h as a finite square complex array, dim <= 16."""
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n < 1 or n > MAX_DIM:
         raise ValueError(f"matrix dimension must be in [1, {MAX_DIM}], got {n}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     mismatch = float(np.max(np.abs(a - a.conj().T)))
     if mismatch > HERMITICITY_TOL * max(scale, 1e-300):
@@ -50,76 +51,18 @@ def require_hermitian(h) -> np.ndarray:
 
 
 def hermitian_eig(h) -> EigenSystem:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK (numpy.linalg.eigh).
 
     Eigenvalues come back ascending; eigenvector columns are orthonormal with
     a fixed phase convention (largest-magnitude component real positive), so
     repeated calls are bitwise identical.
     """
-    a = require_hermitian(h).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return EigenSystem(np.zeros(n), v)
-    thresh = OFFDIAG_FACTOR * scale
-
-    for _ in range(MAX_SWEEPS):
-        off = max(
-            (float(np.max(np.abs(a[i, i + 1:]))) for i in range(n - 1)),
-            default=0.0,
-        )
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.01 * thresh:
-                    continue
-                phase = apq / abs(apq)
-                # rotation angle from the 2x2 subproblem, smaller root for stability
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                if tau >= 0.0:
-                    t = -1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = 1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * phase * vp + c * vq
-    else:
-        raise ConvergenceError(
-            f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-            f"(off-diagonal threshold {thresh:.3e})"
-        )
-
-    values = np.real(np.diag(a)).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        pivot = vectors[k, j]
-        mag = abs(pivot)
-        if mag > 0.0:
-            vectors[:, j] *= np.conj(pivot) / mag
-        vectors[k, j] = vectors[k, j].real  # kill rounding residue in the pivot
+    values, vectors = np.linalg.eigh(require_hermitian(h))
+    cols = np.arange(values.shape[0])
+    rows = np.argmax(np.abs(vectors), axis=0)
+    pivots = vectors[rows, cols]
+    vectors *= np.conj(pivots) / np.abs(pivots)
+    vectors[rows, cols] = vectors[rows, cols].real  # kill rounding residue in the pivots
     return EigenSystem(values, vectors)
 
 

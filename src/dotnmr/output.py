@@ -154,7 +154,9 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        # NaN/Infinity/-Infinity stay as their literal text, so the number
+        # checks below reject them naming the key
+        data = json.loads(text, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"

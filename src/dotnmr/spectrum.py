@@ -15,6 +15,10 @@ Fermion antisymmetry ties total spin to the parity of m: even m pairs with
 the singlet (S=0), odd m with the triplet (S=1).  The triplet rides the
 S_z = -1 Zeeman branch.  As the field ratio x grows the ground state hops
 through the magic-number sequence (0,0), (1,1), (3,1), (5,1), ...
+
+Every pair of labels crosses at most once, at a closed-form x (Wagner, Merkt
+& Chaplik, PRB 45, 1951 (1992)), so the boundaries come from walking the lower
+envelope label by label, with no scan or root search.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 
 from .config import DotConfig, zeeman_ratio
 from .errors import ParityError
-from .numerics import bracket_roots
 
 
 def spin_for_m(m_abs: int) -> int:
@@ -143,42 +146,44 @@ def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
     )
 
 
-def magic_transitions(
-    cfg: DotConfig, x_lo: float, x_hi: float, scan_points: int = 2048
-) -> list[TransitionPoint]:
-    """Locate every ground-state change in [x_lo, x_hi].
+def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[TransitionPoint]:
+    """Locate every ground-state change in (x_lo, x_hi) by walking the envelope.
 
-    A label scan brackets each change to one grid cell, then the pairwise
-    energy-difference root is refined by bisection.  Ground-state |m| is
-    non-decreasing in x, so equal labels at both cell edges mean no change
-    inside.
+    Any label b with |m| above the current label a crosses it at most once,
+    at the exact root of sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + g m*/m_e dS):
+
+        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a),
+
+    and never when k <= 1.  Labels with smaller |m| never return, so the next
+    boundary is the smallest such x* above the current one.
     """
     if not 0 <= x_lo < x_hi:
         raise ValueError(f"need 0 <= x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    step = (x_hi - x_lo) / (scan_points - 1)
-    grid = [x_lo + i * step for i in range(scan_points - 1)] + [x_hi]
-    labels = [ground_state_at(cfg, x).label for x in grid]
-
+    zeeman_slope = cfg.g_factor * cfg.mstar_ratio
+    m_a, s_a = ground_state_at(cfg, x_lo).label
+    x = x_lo
     points: list[TransitionPoint] = []
-    for i in range(len(grid) - 1):
-        la, lb = labels[i], labels[i + 1]
-        if la == lb:
-            continue
-        ma, sa = la
-        mb, sb = lb
-
-        def energy_gap(x: float) -> float:
-            return total_ground_energy(ma, sa, cfg, x) - total_ground_energy(mb, sb, cfg, x)
-
-        roots = bracket_roots(energy_gap, grid[i], grid[i + 1], 2)
-        if not roots:
-            # labels changed without a sign change only when the crossing sits
-            # exactly on a grid point; rescan the cell more finely
-            roots = bracket_roots(energy_gap, grid[i], grid[i + 1], 64)
-        if not roots:
-            raise RuntimeError(
-                f"ground-state label changed in [{grid[i]}, {grid[i + 1]}] "
-                "but no energy crossing was found"
+    while m_a < cfg.m_max:
+        mu_a = mu_m(m_a, cfg.alpha_tilde)
+        best = None
+        for m_b in range(m_a + 1, cfg.m_max + 1):
+            k = (m_b - m_a + zeeman_slope * (spin_for_m(m_b) - s_a)) / (
+                mu_m(m_b, cfg.alpha_tilde) - mu_a
             )
-        points.append(TransitionPoint(x_star=roots[0], from_state=la, to_state=lb))
+            if k > 1.0:
+                x_star = 2.0 / math.sqrt(k * k - 1.0)
+                if x < x_star < x_hi and (best is None or x_star < best[0]):
+                    best = (x_star, m_b)
+        if best is None:
+            break
+        x, m_b = best
+        s_b = spin_for_m(m_b)
+        points.append(TransitionPoint(x_star=x, from_state=(m_a, s_a), to_state=(m_b, s_b)))
+        m_a, s_a = m_b, s_b
+        if m_a == cfg.m_max:
+            warnings.warn(
+                f"ground-state walk reached m_max={cfg.m_max} at x={x}; "
+                "increase m_max to trust the boundaries above it",
+                stacklevel=2,
+            )
     return points

@@ -95,6 +95,25 @@ def test_exit_code_for_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        (["sweep"], '{"alpha_tilde": NaN}', "alpha_tilde"),
+        (["transitions"], '{"g_factor": NaN}', "g_factor"),
+        (["nmr", "--x", "1.0"], '{"hyperfine_c": Infinity}', "hyperfine_c"),
+        (["nmr", "--x", "1.0"], '{"hyperfine_c": 1e999}', "hyperfine_c"),
+    ],
+)
+def test_exit_code_for_non_finite_config_value(
+    tmp_path, monkeypatch, capsys, command, text, field
+):
+    monkeypatch.chdir(tmp_path)  # sweep writes into the working directory
+    (tmp_path / "bad.json").write_text(text)
+    assert main([*command, "--config", "bad.json"]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_exit_code_for_usage_error(capsys):
     assert main(["sweep", "--bogus-flag"]) == 1
     assert main(["nmr"]) == 1  # missing required --x

@@ -7,7 +7,6 @@ from dotnmr import (
     DotConfig,
     K_CYC_MEV_PER_T,
     b_field_from_ratio,
-    field_point,
     validate_config,
     zeeman_ratio,
 )
@@ -35,6 +34,10 @@ def test_default_config_accepted(default_cfg):
         (dict(hyperfine_c=-2.0), "hyperfine_c"),
         (dict(m_max=4), "m_max"),
         (dict(m_max=7.5), "m_max"),
+        (dict(alpha_tilde=math.nan), "alpha_tilde"),
+        (dict(g_factor=math.nan), "g_factor"),
+        (dict(hyperfine_c=math.inf), "hyperfine_c"),
+        (dict(hbar_omega0=math.inf), "hbar_omega0"),
     ],
 )
 def test_invalid_config_names_field(kwargs, field):
@@ -98,9 +101,3 @@ def test_zeeman_cross_unit_consistency():
         zeeman_mev = zeeman_ratio(cfg, x) * cfg.hbar_omega0
         via_gamma = cfg.gamma_e * b_field_from_ratio(cfg, x) * H_MEV_PER_MHZ
         assert abs(zeeman_mev / via_gamma - 1.0) < 1e-3
-
-
-def test_field_point(default_cfg):
-    fp = field_point(default_cfg, 1.0)
-    assert fp.x == 1.0
-    assert fp.b_tesla == b_field_from_ratio(default_cfg, 1.0)

@@ -7,7 +7,6 @@ from dotnmr import (
     DotConfig,
     ParityError,
     coupling_a,
-    coupling_point,
     delta_cm,
     delta_m,
     mu_m,
@@ -128,12 +127,3 @@ def test_delta_cm_dominates_when_mu_above_one(default_cfg):
     for m in (1, 3, 5):  # mu_m >= 2 with the default repulsion
         for x in (0.0, 1.1, 3.3):
             assert delta_cm(default_cfg, x, m) >= delta_m(default_cfg, x, m)
-
-
-def test_coupling_point_record(default_cfg):
-    cp = coupling_point(default_cfg, 1.0, 1, 1)
-    assert cp.a_mhz == pytest.approx(0.5 * 60.0 * cp.delta_l0sq, rel=1e-14)
-    assert not cp.ir_excited
-    singlet = coupling_point(default_cfg, 0.2, 0, 0)
-    assert singlet.delta_l0sq == 0.0
-    assert singlet.a_mhz == 0.0

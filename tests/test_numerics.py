@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dotnmr import (
-    ConvergenceError,
     NonHermitianError,
     bracket_roots,
     evolve,
@@ -76,6 +75,8 @@ def test_rejects_non_hermitian_and_bad_shapes():
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eig(np.zeros((17, 17)))
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(np.full((2, 2), np.nan))
 
 
 def test_tiny_hermiticity_violation_tolerated():

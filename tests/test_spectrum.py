@@ -1,6 +1,9 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotnmr import (
     DotConfig,
@@ -193,3 +196,44 @@ def test_label_sequence_matches_magic_numbers(default_cfg):
         if not seen or seen[-1] != label:
             seen.append(label)
     assert seen == [(0, 0), (1, 1), (3, 1), (5, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.05, 0.6),
+    alpha=st.floats(0.0, 8.0),
+    m_max=st.integers(5, 25),
+    x_lo=st.floats(0.0, 4.0),
+    span=st.floats(0.1, 8.0),
+)
+def test_envelope_walk_matches_ground_state_scan(g, mstar, alpha, m_max, x_lo, span):
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    x_hi = x_lo + span
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # strong Zeeman drives the walk to m_max
+        points = magic_transitions(cfg, x_lo, x_hi)
+        labels = [ground_state_at(cfg, x_lo).label] + [p.to_state for p in points]
+        edges = [x_lo] + [p.x_star for p in points] + [x_hi]
+        for lo, hi, label in zip(edges, edges[1:], labels):
+            assert ground_state_at(cfg, 0.5 * (lo + hi)).label == label
+        for i, p in enumerate(points):
+            assert p.from_state == labels[i]
+            eps = 0.25 * min(4e-7, edges[i + 1] - edges[i], edges[i + 2] - edges[i + 1])
+            before, after = p.x_star - eps, p.x_star + eps
+            assert ground_state_at(cfg, before).label == p.from_state
+            assert ground_state_at(cfg, after).label == p.to_state
+            # the (from, to) energy gap changes sign across x*
+            assert total_ground_energy(*p.from_state, cfg, before) < total_ground_energy(
+                *p.to_state, cfg, before
+            )
+            assert total_ground_energy(*p.from_state, cfg, after) > total_ground_energy(
+                *p.to_state, cfg, after
+            )
+
+
+def test_magic_transitions_warns_once_at_m_max():
+    with pytest.warns(UserWarning, match="m_max") as record:
+        points = magic_transitions(DotConfig(m_max=5), 0.05, 5.0)
+    assert points[-1].to_state == (5, 1)
+    assert len([w for w in record if "m_max" in str(w.message)]) == 1
