@@ -63,6 +63,6 @@ from .spin_hamiltonian import (
     relative_shift,
     spin_basis,
 )
-from .sweep import SWEEP_COLUMNS, SweepRow, SweepSpec, run_sweep, sweep_row
+from .sweep import SWEEP_COLUMNS, Sweep, SweepSpec, run_sweep, sweep_row
 
 __version__ = "0.1.0"

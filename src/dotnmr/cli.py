@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -92,17 +93,17 @@ def _load(args) -> tuple[DotConfig, SweepSpec]:
 
 def _cmd_sweep(args) -> int:
     cfg, spec = _load(args)
-    rows = run_sweep(cfg, spec.x_min, spec.x_max, spec.steps)
+    sweep = run_sweep(cfg, spec.x_min, spec.x_max, spec.steps)
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [write_csv(rows, out_dir / "sweep.csv")]
+    paths = [write_csv(sweep, out_dir / "sweep.csv")]
     if args.svg:
-        paths.append(emit_svg(rows, "delta_l0sq", out_dir / "coupling.svg"))
+        paths.append(emit_svg(sweep, "delta_l0sq", out_dir / "coupling.svg"))
         shift_column = "shift_ir" if spec.ir else "shift"
-        paths.append(emit_svg(rows, shift_column, out_dir / "shift.svg"))
+        paths.append(emit_svg(sweep, shift_column, out_dir / "shift.svg"))
     manifest = build_manifest(cfg, spec, paths)
     manifest_path = write_manifest(manifest, out_dir / "manifest.json")
-    print(f"wrote {len(rows)} rows over x in [{spec.x_min:g}, {spec.x_max:g}]")
+    print(f"wrote {len(sweep.x)} rows over x in [{spec.x_min:g}, {spec.x_max:g}]")
     for entry in manifest.outputs:
         print(f"  {out_dir / entry['path']}  sha256={entry['sha256'][:16]}")
     print(f"  {manifest_path}")
@@ -124,11 +125,10 @@ def _cmd_transitions(args) -> int:
 
 
 def _cmd_nmr(args) -> int:
-    if args.config is not None:
-        cfg, _ = load_config(args.config)
-    else:
-        cfg = validate_config(DotConfig())
+    cfg, _ = _load(args)
     x = args.x
+    if not math.isfinite(x):
+        raise ConfigError(f"--x must be finite, got {x}")
     ground = ground_state_at(cfg, x)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)

@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Free-electron cyclotron energy per Tesla (meV/T), i.e. twice the Bohr
@@ -43,7 +45,7 @@ class DotConfig:
 
     hbar_omega0: float = 2.5      # confinement energy, meV
     mstar_ratio: float = 0.19     # effective mass m*/m_e
-    g_factor: float = 2.0
+    g_factor: float = 2.0         # |g*| >= 0
     gamma_n: float = 10.7084      # nuclear gyromagnetic ratio, MHz/T
     gamma_e: float = 28024.95     # electron gyromagnetic ratio, MHz/T
     hyperfine_c: float = 60.0     # contact coupling C/l0^2, MHz
@@ -68,6 +70,8 @@ def validate_config(cfg: DotConfig) -> DotConfig:
         raise ConfigError(f"hbar_omega0 must be > 0, got {cfg.hbar_omega0}")
     if not cfg.mstar_ratio > 0:
         raise ConfigError(f"mstar_ratio must be > 0, got {cfg.mstar_ratio}")
+    if cfg.g_factor < 0:
+        raise ConfigError(f"g_factor is |g*| and must be >= 0, got {cfg.g_factor}")
     if not isinstance(cfg.m_max, int) or isinstance(cfg.m_max, bool):
         raise ConfigError(f"m_max must be an integer, got {cfg.m_max!r}")
     if cfg.m_max < 5:
@@ -100,23 +104,23 @@ def validate_config(cfg: DotConfig) -> DotConfig:
     return cfg
 
 
-def b_field_from_ratio(cfg: DotConfig, x: float) -> float:
-    """Magnetic field in Tesla for a given ratio x = omega_c/omega_0."""
-    if x < 0:
+def b_field_from_ratio(cfg: DotConfig, x):
+    """Magnetic field in Tesla for a ratio x = omega_c/omega_0 (float or array)."""
+    if not np.all(x >= 0):
         raise ValueError(f"x must be >= 0, got {x}")
     return x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
 
 
-def zeeman_ratio(cfg: DotConfig, x: float) -> float:
-    """Electron Zeeman energy g*mu_B*B over hbar*omega0.
+def zeeman_ratio(cfg: DotConfig, x):
+    """Electron Zeeman energy g*mu_B*B over hbar*omega0 (float or array x).
 
     Algebraically (g/2) * (m*/m_e) * x, independent of the field conversion.
     """
-    if x < 0:
+    if not np.all(x >= 0):
         raise ValueError(f"x must be >= 0, got {x}")
     return 0.5 * cfg.g_factor * cfg.mstar_ratio * x
 
 
-def nuclear_larmor_mhz(cfg: DotConfig, b_tesla: float) -> float:
+def nuclear_larmor_mhz(cfg: DotConfig, b_tesla):
     """Bare nuclear resonance gamma_n * B in MHz (the undoped-dot signal)."""
     return cfg.gamma_n * b_tesla

@@ -16,29 +16,22 @@ from __future__ import annotations
 import math
 
 from .config import DotConfig
-from .errors import ParityError
-from .spectrum import effective_omega_ratio, mu_m, spin_for_m
+from .spectrum import check_parity, effective_omega_ratio, mu_m
 
 
-def delta_m(cfg: DotConfig, x: float, m_abs: int) -> float:
+def delta_m(cfg: DotConfig, x, m_abs: int):
     """Electron density at the nucleus, CM in its ground state, in 1/l0^2."""
     return effective_omega_ratio(x) / (math.pi * 2.0 ** (1.0 + mu_m(m_abs, cfg.alpha_tilde)))
 
 
-def delta_cm(cfg: DotConfig, x: float, m_abs: int) -> float:
+def delta_cm(cfg: DotConfig, x, m_abs: int):
     """Density with the CM in its first excited level: delta_m * (1+mu_m)/2."""
     return delta_m(cfg, x, m_abs) * 0.5 * (1.0 + mu_m(m_abs, cfg.alpha_tilde))
 
 
-def coupling_a(
-    cfg: DotConfig, x: float, m_abs: int, s_total: int, ir_excited: bool = False
-) -> float:
+def coupling_a(cfg: DotConfig, x, m_abs: int, s_total: int, ir_excited: bool = False):
     """Hyperfine coupling A(m) in MHz; exactly 0 for the singlet."""
-    if s_total != spin_for_m(m_abs):
-        raise ParityError(
-            f"(|m|={m_abs}, S={s_total}) violates the parity rule: even m pairs "
-            "with S=0, odd m with S=1"
-        )
+    check_parity(m_abs, s_total)
     if s_total == 0:
         return 0.0
     density = delta_cm(cfg, x, m_abs) if ir_excited else delta_m(cfg, x, m_abs)

@@ -1,4 +1,4 @@
-"""CSV, SVG and run-manifest emission plus JSON config ingestion.
+"""CSV and SVG emission from Sweep columns, run manifests, JSON config ingestion.
 
 All emitted bytes are deterministic: numbers are rendered with 9 significant
 digits, newlines are '\\n', and nothing date- or platform-dependent is
@@ -12,9 +12,11 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .config import CONFIG_FIELDS, DotConfig, validate_config
 from .errors import ConfigError
-from .sweep import SWEEP_COLUMNS, SweepRow, SweepSpec
+from .sweep import SWEEP_COLUMNS, Sweep, SweepSpec
 
 SVG_WIDTH = 720
 SVG_HEIGHT = 480
@@ -23,25 +25,20 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 84, 20, 20, 56
 _SWEEP_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
 
 
-def format_number(value) -> str:
-    """Fixed 9-significant-digit rendering used for all emitted numbers."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".9g")
+def write_csv(sweep: Sweep, path) -> Path:
+    """Write the sweep columns under the 14-column header; byte-identical per rerun.
 
-
-def write_csv(rows: list[SweepRow], path) -> Path:
-    """Write sweep rows with the 14-column header; byte-identical per rerun."""
-    if not rows:
+    Floats get 9 significant digits ("%.9g"), the two label columns "%d".
+    """
+    if len(sweep.x) == 0:
         raise ValueError("cannot write an empty sweep")
     path = Path(path)
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(format_number(getattr(row, c)) for c in SWEEP_COLUMNS))
+    row_format = ",".join(
+        "%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS
+    ) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        fh.writelines(row_format % row for row in zip(*(c.tolist() for c in sweep)))
     return path
 
 
@@ -51,23 +48,23 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def emit_svg(rows: list[SweepRow], y_column: str, path) -> Path:
+def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
     """Render one sweep column as a static SVG line plot.
 
-    Consecutive rows sharing the same (|m|, S) label form one polyline;
-    segments are not joined across ground-state changes, so the first-order
-    jumps appear as genuine breaks.
+    Consecutive points sharing the same |m| (and so the same (|m|, S) label)
+    form one polyline; segments are not joined across ground-state changes,
+    so the first-order jumps appear as genuine breaks.
     """
-    if not rows:
+    if len(sweep.x) == 0:
         raise ValueError("cannot plot an empty sweep")
     if y_column not in SWEEP_COLUMNS:
         raise ValueError(f"unknown column {y_column!r}; choose one of {SWEEP_COLUMNS}")
     path = Path(path)
 
-    xs = [row.x for row in rows]
-    ys = [float(getattr(row, y_column)) for row in rows]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    xs = sweep.x
+    ys = getattr(sweep, y_column)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -76,21 +73,11 @@ def emit_svg(rows: list[SweepRow], y_column: str, path) -> Path:
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
-
-    segments: list[list[SweepRow]] = []
-    for row in rows:
-        if segments and (row.m_abs, row.s_total) == (
-            segments[-1][-1].m_abs,
-            segments[-1][-1].s_total,
-        ):
-            segments[-1].append(row)
-        else:
-            segments.append([row])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
@@ -129,12 +116,12 @@ def emit_svg(rows: list[SweepRow], y_column: str, path) -> Path:
         f'font-family="sans-serif" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.2f})">{y_column}</text>'
     )
-    for segment in segments:
-        pts = " ".join(
-            f"{px(row.x):.2f},{py(float(getattr(row, y_column))):.2f}" for row in segment
-        )
+    points = [f"{u:.2f},{v:.2f}" for u, v in zip(px(xs).tolist(), py(ys).tolist())]
+    breaks = (np.flatnonzero(np.diff(sweep.m_abs)) + 1).tolist()
+    for lo, hi in zip([0] + breaks, breaks + [len(points)]):
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>'
+            f'<polyline points="{" ".join(points[lo:hi])}" fill="none" '
+            'stroke="#1f4e79" stroke-width="1.5"/>'
         )
     parts.append("</svg>")
 

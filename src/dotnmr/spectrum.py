@@ -27,6 +27,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DotConfig, zeeman_ratio
 from .errors import ParityError
 
@@ -34,6 +36,15 @@ from .errors import ParityError
 def spin_for_m(m_abs: int) -> int:
     """Total spin forced by antisymmetry: 0 for even |m|, 1 for odd."""
     return m_abs % 2
+
+
+def check_parity(m_abs: int, s_total: int) -> None:
+    """Raise ParityError unless S is the spin that antisymmetry forces for |m|."""
+    if s_total != spin_for_m(m_abs):
+        raise ParityError(
+            f"(|m|={m_abs}, S={s_total}) violates the parity rule: even m pairs "
+            "with S=0, odd m with S=1"
+        )
 
 
 def mu_m(m_abs: int, alpha_tilde: float) -> float:
@@ -45,29 +56,25 @@ def mu_m(m_abs: int, alpha_tilde: float) -> float:
     return math.sqrt(m_abs * m_abs + alpha_tilde)
 
 
-def effective_omega_ratio(x: float) -> float:
-    """Hybrid frequency over omega_0: sqrt(x^2 + 4)."""
-    if x < 0:
+def effective_omega_ratio(x):
+    """Hybrid frequency over omega_0: sqrt(x^2 + 4), for a float or an array x."""
+    if not np.all(x >= 0):
         raise ValueError(f"x must be >= 0, got {x}")
-    return math.sqrt(x * x + 4.0)
+    return np.sqrt(x * x + 4.0)
 
 
-def rel_ground_energy(m_abs: int, alpha_tilde: float, x: float) -> float:
+def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
     """Lowest relative-motion energy for angular momentum |m|, in hbar*omega0."""
     return 0.5 * effective_omega_ratio(x) * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
 
 
-def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x: float) -> float:
+def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x):
     """Relative plus spin-Zeeman energy in hbar*omega0 (CM constant omitted).
 
     The triplet contributes -zeeman_ratio (its S_z = -1 branch); the singlet
     has no electron Zeeman energy.
     """
-    if s_total != spin_for_m(m_abs):
-        raise ParityError(
-            f"(|m|={m_abs}, S={s_total}) violates the parity rule: even m pairs "
-            "with S=0, odd m with S=1"
-        )
+    check_parity(m_abs, s_total)
     e = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
     if s_total == 1:
         e -= zeeman_ratio(cfg, x)
@@ -76,19 +83,15 @@ def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x: float) -> f
 
 @dataclass(frozen=True)
 class OrbitalGround:
-    """Orbital ground-state label (|m|, S) with its energy at ratio x."""
+    """Orbital ground-state label (|m|, S) at ratio x."""
 
     x: float
     m_abs: int
     s_total: int
-    energy: float
     at_search_boundary: bool = False
 
     def __post_init__(self):
-        if self.s_total != spin_for_m(self.m_abs):
-            raise ParityError(
-                f"(|m|={self.m_abs}, S={self.s_total}) violates the parity rule"
-            )
+        check_parity(self.m_abs, self.s_total)
 
     @property
     def label(self) -> tuple[int, int]:
@@ -115,21 +118,25 @@ class TransitionPoint:
             )
 
 
+def ground_m_abs(cfg: DotConfig, x):
+    """Ground-state |m| at a float or an array x (S is spin_for_m(|m|)).
+
+    The lowest total_ground_energy over m in [0, m_max]; ties go to the smaller |m|.
+    """
+    energies = np.stack(
+        [total_ground_energy(m, spin_for_m(m), cfg, x) for m in range(cfg.m_max + 1)]
+    )
+    return np.argmin(energies, axis=0)
+
+
 def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
-    """Lowest-energy (|m|, S) over m in [0, m_max]; ties go to smaller |m|.
+    """Ground-state label at one ratio x (see ground_m_abs).
 
     When the minimum lands on m_max itself the true ground state may lie
     outside the searched window, so the result carries a boundary flag and a
     warning is issued.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    best_m = 0
-    best_e = math.inf
-    for m in range(cfg.m_max + 1):
-        e = total_ground_energy(m, spin_for_m(m), cfg, x)
-        if e < best_e:
-            best_m, best_e = m, e
+    best_m = int(ground_m_abs(cfg, x))
     at_boundary = best_m == cfg.m_max
     if at_boundary:
         warnings.warn(
@@ -141,7 +148,6 @@ def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
         x=x,
         m_abs=best_m,
         s_total=spin_for_m(best_m),
-        energy=best_e,
         at_search_boundary=at_boundary,
     )
 

@@ -122,16 +122,17 @@ def build_spin_matrix(
     return SpinMatrix(matrix=h, labels=labels)
 
 
-def nmr_closed_form(a_mhz: float, b_tesla: float, cfg: DotConfig) -> float:
-    """Closed-form nuclear resonance of the triplet sector, MHz."""
-    if a_mhz < 0 or b_tesla < 0:
+def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
+    """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays)."""
+    if not np.all((a_mhz >= 0) & (b_tesla >= 0)):
         raise ValueError("a_mhz and b_tesla must be >= 0")
     gn = cfg.gamma_n
     ge = cfg.gamma_e
+    s = a_mhz + (gn + ge) * b_tesla
     return (
         1.5 * a_mhz
         + 0.5 * (gn - ge) * b_tesla
-        + 0.5 * math.sqrt((a_mhz + (gn + ge) * b_tesla) ** 2 + 8.0 * a_mhz * a_mhz)
+        + 0.5 * np.sqrt(s * s + 8.0 * a_mhz * a_mhz)
     )
 
 

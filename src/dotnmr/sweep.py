@@ -1,44 +1,47 @@
-"""Field-ratio sweep assembling couplings and resonance frequencies per point.
+"""Field-ratio sweep: the 14 output columns computed at once over an x grid.
 
-Each row composes the orbital ground state, the contact coupling (with and
-without infrared excitation of the center of mass) and the resulting nuclear
-resonance.  In singlet windows the nucleus is decoupled: the coupling and
-shift columns are exactly 0 and both resonance columns equal the bare Larmor
-frequency.
+The orbital ground state, the contact coupling (with and without infrared
+excitation of the center of mass) and the resulting nuclear resonance are
+evaluated column-wise, one ground-state label at a time.  In singlet windows
+the nucleus is decoupled: the coupling and shift columns are exactly 0 and
+both resonance columns equal the bare Larmor frequency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz
 from .errors import ConfigError
-from .hyperfine import delta_cm, delta_m
-from .spectrum import ground_state_at, mu_m
+from .hyperfine import coupling_a, delta_cm, delta_m
+from .spectrum import ground_m_abs, ground_state_at, mu_m, spin_for_m
 from .spin_hamiltonian import nmr_closed_form
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep record; field order is the CSV column order."""
+class Sweep(NamedTuple):
+    """Sweep columns, one array entry per grid point; field order is the CSV order."""
 
-    x: float
-    b_tesla: float
-    m_abs: int
-    s_total: int
-    mu_m: float
-    delta_l0sq: float
-    delta_cm_l0sq: float
-    a_mhz: float
-    a_cm_mhz: float
-    f0_mhz: float
-    f_nmr_mhz: float
-    f_nmr_ir_mhz: float
-    shift: float
-    shift_ir: float
+    x: np.ndarray
+    b_tesla: np.ndarray
+    m_abs: np.ndarray
+    s_total: np.ndarray
+    mu_m: np.ndarray
+    delta_l0sq: np.ndarray
+    delta_cm_l0sq: np.ndarray
+    a_mhz: np.ndarray
+    a_cm_mhz: np.ndarray
+    f0_mhz: np.ndarray
+    f_nmr_mhz: np.ndarray
+    f_nmr_ir_mhz: np.ndarray
+    shift: np.ndarray
+    shift_ir: np.ndarray
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+SWEEP_COLUMNS = Sweep._fields
 
 
 @dataclass(frozen=True)
@@ -50,49 +53,54 @@ class SweepSpec:
     steps: int = 500
     ir: bool = False
 
+    def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
-def sweep_row(cfg: DotConfig, x: float) -> SweepRow:
-    """Compute one sweep record at ratio x > 0."""
-    ground = ground_state_at(cfg, x)
+
+def sweep_row(cfg: DotConfig, x) -> Sweep:
+    """Sweep columns at the ratios x > 0 (a 1-D array, or a float for one row)."""
+    x = np.array(x, dtype=float, ndmin=1)
+    m_abs = ground_m_abs(cfg, x)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    mu = mu_m(ground.m_abs, cfg.alpha_tilde)
-
-    if ground.s_total == 0:
-        return SweepRow(
-            x=x, b_tesla=b, m_abs=ground.m_abs, s_total=0, mu_m=mu,
-            delta_l0sq=0.0, delta_cm_l0sq=0.0, a_mhz=0.0, a_cm_mhz=0.0,
-            f0_mhz=f0, f_nmr_mhz=f0, f_nmr_ir_mhz=f0, shift=0.0, shift_ir=0.0,
-        )
-
-    density = delta_m(cfg, x, ground.m_abs)
-    density_cm = delta_cm(cfg, x, ground.m_abs)
-    a = 0.5 * cfg.hyperfine_c * density
-    a_cm = 0.5 * cfg.hyperfine_c * density_cm
-    f_nmr = nmr_closed_form(a, b, cfg)
-    f_nmr_ir = nmr_closed_form(a_cm, b, cfg)
-    return SweepRow(
-        x=x, b_tesla=b, m_abs=ground.m_abs, s_total=1, mu_m=mu,
-        delta_l0sq=density, delta_cm_l0sq=density_cm, a_mhz=a, a_cm_mhz=a_cm,
-        f0_mhz=f0, f_nmr_mhz=f_nmr, f_nmr_ir_mhz=f_nmr_ir,
-        shift=(f_nmr - f0) / f0, shift_ir=(f_nmr_ir - f0) / f0,
-    )
+    mu = np.array([mu_m(m, cfg.alpha_tilde) for m in range(cfg.m_max + 1)])[m_abs]
+    density, density_cm, a, a_cm = (np.zeros_like(x) for _ in range(4))
+    f_nmr, f_nmr_ir = f0.copy(), f0.copy()
+    for m in np.unique(m_abs[spin_for_m(m_abs) == 1]).tolist():
+        at = m_abs == m
+        xs, bs = x[at], b[at]
+        density[at] = delta_m(cfg, xs, m)
+        density_cm[at] = delta_cm(cfg, xs, m)
+        a[at] = coupling_a(cfg, xs, m, 1)
+        a_cm[at] = coupling_a(cfg, xs, m, 1, ir_excited=True)
+        f_nmr[at] = nmr_closed_form(a[at], bs, cfg)
+        f_nmr_ir[at] = nmr_closed_form(a_cm[at], bs, cfg)
+    # singlet rows keep f_nmr == f0 exactly, so their shifts are exactly 0
+    return Sweep(x, b, m_abs, spin_for_m(m_abs), mu, density, density_cm, a, a_cm,
+                 f0, f_nmr, f_nmr_ir, (f_nmr - f0) / f0, (f_nmr_ir - f0) / f0)
 
 
-def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> list[SweepRow]:
-    """Uniform inclusive grid of sweep rows, deterministic for fixed inputs."""
+def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
+    """Uniform inclusive grid of sweep columns, deterministic for fixed inputs.
+
+    Raises FloatingPointError naming the first x whose row is not finite, and
+    warns once when the ground state reaches m_max inside the window.
+    """
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
     if not x_min > 0:
         raise ConfigError(f"x_min must be > 0 (the bare Larmor f0 vanishes at B=0), got {x_min}")
     if not x_min < x_max:
         raise ConfigError(f"need x_min < x_max, got [{x_min}, {x_max}]")
-    step = (x_max - x_min) / (steps - 1)
-    rows = []
-    for i in range(steps):
-        x = x_max if i == steps - 1 else x_min + i * step
-        try:
-            rows.append(sweep_row(cfg, x))
-        except Exception as exc:
-            raise RuntimeError(f"sweep failed at x = {x}: {exc}") from exc
-    return rows
+    x = x_min + np.arange(steps) * ((x_max - x_min) / (steps - 1))
+    x[-1] = x_max
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
+        sweep = sweep_row(cfg, x)
+    finite = np.all([np.isfinite(column) for column in sweep], axis=0)
+    if not finite.all():
+        raise FloatingPointError(f"sweep row is not finite at x = {x[np.argmin(finite)]}")
+    # labels only rise with x, so the last point alone decides the m_max warning
+    ground_state_at(cfg, x_max)
+    return sweep

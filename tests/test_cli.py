@@ -102,6 +102,9 @@ def test_exit_code_for_config_error(tmp_path, capsys):
         (["transitions"], '{"g_factor": NaN}', "g_factor"),
         (["nmr", "--x", "1.0"], '{"hyperfine_c": Infinity}', "hyperfine_c"),
         (["nmr", "--x", "1.0"], '{"hyperfine_c": 1e999}', "hyperfine_c"),
+        (["sweep", "--x-max", "inf", "--steps", "3"], "{}", "x_max"),
+        (["sweep"], '{"sweep": {"x_max": 1e999}}', "x_max"),
+        (["nmr", "--x", "nan"], "{}", "--x"),
     ],
 )
 def test_exit_code_for_non_finite_config_value(

@@ -38,6 +38,7 @@ def test_default_config_accepted(default_cfg):
         (dict(g_factor=math.nan), "g_factor"),
         (dict(hyperfine_c=math.inf), "hyperfine_c"),
         (dict(hbar_omega0=math.inf), "hbar_omega0"),
+        (dict(g_factor=-0.44), "g_factor"),
     ],
 )
 def test_invalid_config_names_field(kwargs, field):

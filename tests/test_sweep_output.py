@@ -1,37 +1,46 @@
+import bisect
 import csv
 import hashlib
 import json
-import math
+import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotnmr import (
     ConfigError,
     DotConfig,
     SWEEP_COLUMNS,
+    Sweep,
     build_manifest,
     emit_svg,
+    ground_state_at,
     load_config,
+    magic_transitions,
+    nmr_numeric,
     run_sweep,
     sweep_row,
     write_csv,
     write_manifest,
 )
-from dotnmr.output import format_number, sha256_of
+from dotnmr.cli import main
+from dotnmr.output import sha256_of
 from dotnmr.sweep import SweepSpec
 
 
 @pytest.fixture(scope="module")
-def default_rows(default_cfg):
+def default_sweep(default_cfg):
     return run_sweep(default_cfg, 0.05, 5.0, 500)
 
 
-def test_sweep_row_count_and_grid(default_cfg, default_rows):
-    assert len(default_rows) == 500
-    assert default_rows[0].x == 0.05
-    assert default_rows[-1].x == 5.0
-    assert len(run_sweep(default_cfg, 0.1, 0.2, 2)) == 2
+def test_sweep_row_count_and_grid(default_cfg, default_sweep):
+    assert all(len(column) == 500 for column in default_sweep)
+    assert default_sweep.x[0] == 0.05
+    assert default_sweep.x[-1] == 5.0
+    assert len(run_sweep(default_cfg, 0.1, 0.2, 2).x) == 2
 
 
 def test_sweep_bad_bounds(default_cfg):
@@ -43,73 +52,87 @@ def test_sweep_bad_bounds(default_cfg):
         run_sweep(default_cfg, 0.1, 5.0, 1)
 
 
-def test_sweep_singlet_rows_are_decoupled(default_rows):
-    for row in default_rows:
-        if row.s_total == 0:
-            assert row.delta_l0sq == 0.0
-            assert row.a_mhz == 0.0
-            assert row.a_cm_mhz == 0.0
-            assert row.shift == 0.0
-            assert row.shift_ir == 0.0
-            assert row.f_nmr_mhz == row.f0_mhz
-            assert row.f_nmr_ir_mhz == row.f0_mhz
+def test_sweep_singlet_rows_are_decoupled(default_sweep):
+    singlet = default_sweep.s_total == 0
+    assert singlet.any()
+    for column in ("delta_l0sq", "delta_cm_l0sq", "a_mhz", "a_cm_mhz", "shift", "shift_ir"):
+        assert np.all(getattr(default_sweep, column)[singlet] == 0.0), column
+    assert np.array_equal(default_sweep.f_nmr_mhz[singlet], default_sweep.f0_mhz[singlet])
+    assert np.array_equal(default_sweep.f_nmr_ir_mhz[singlet], default_sweep.f0_mhz[singlet])
 
 
-def test_sweep_triplet_rows_consistent(default_cfg, default_rows):
-    for row in default_rows:
-        if row.s_total == 1:
-            assert row.delta_l0sq > 0.0
-            assert row.a_mhz == pytest.approx(
-                0.5 * default_cfg.hyperfine_c * row.delta_l0sq, rel=1e-14
-            )
-            assert row.shift == pytest.approx(
-                (row.f_nmr_mhz - row.f0_mhz) / row.f0_mhz, rel=1e-12
-            )
-            assert row.shift_ir > row.shift
-        for column in ("f0_mhz", "f_nmr_mhz", "f_nmr_ir_mhz"):
-            assert getattr(row, column) >= 0.0
+def test_sweep_triplet_rows_consistent(default_cfg, default_sweep):
+    sw = default_sweep
+    triplet = sw.s_total == 1
+    assert np.all(sw.delta_l0sq[triplet] > 0.0)
+    np.testing.assert_allclose(
+        sw.a_mhz[triplet], 0.5 * default_cfg.hyperfine_c * sw.delta_l0sq[triplet], rtol=1e-14
+    )
+    np.testing.assert_allclose(
+        sw.shift[triplet], (sw.f_nmr_mhz - sw.f0_mhz)[triplet] / sw.f0_mhz[triplet], rtol=1e-12
+    )
+    assert np.all(sw.shift_ir[triplet] > sw.shift[triplet])
+    for column in ("f0_mhz", "f_nmr_mhz", "f_nmr_ir_mhz"):
+        assert np.all(getattr(sw, column) >= 0.0)
 
 
-def test_sweep_window_sequence(default_rows):
+def test_sweep_window_sequence(default_sweep):
     labels = []
-    for row in default_rows:
-        label = (row.m_abs, row.s_total)
+    for label in zip(default_sweep.m_abs.tolist(), default_sweep.s_total.tolist()):
         if not labels or labels[-1] != label:
             labels.append(label)
     assert labels == [(0, 0), (1, 1), (3, 1), (5, 1)]
 
 
-def test_sweep_shift_jumps_at_boundaries(default_cfg, default_rows):
+def test_sweep_shift_jumps_at_boundaries(default_cfg, default_sweep):
     # shift is zero before the first boundary and positive right after
-    for row in default_rows:
-        if row.x < 0.39:
-            assert row.shift == 0.0
-    peak = max(row.shift for row in default_rows)
-    assert 0.20 <= peak <= 0.35
+    assert np.all(default_sweep.shift[default_sweep.x < 0.39] == 0.0)
+    assert 0.20 <= default_sweep.shift.max() <= 0.35
 
 
 def test_row_error_reports_offending_x(default_cfg, monkeypatch):
     import dotnmr.sweep as sweep_mod
 
-    def boom(a_mhz, b_tesla, cfg):
-        raise FloatingPointError("synthetic failure")
+    def nan_resonance(a_mhz, b_tesla, cfg):
+        return np.full_like(a_mhz, np.nan)
 
-    monkeypatch.setattr(sweep_mod, "nmr_closed_form", boom)
-    with pytest.raises(RuntimeError, match="x = 0.5"):
+    monkeypatch.setattr(sweep_mod, "nmr_closed_form", nan_resonance)
+    # x = 0.2 is a singlet row (finite); 0.4 is the first triplet row
+    with pytest.raises(FloatingPointError, match="x = 0.4$"):
+        run_sweep(default_cfg, 0.2, 1.0, 5)
+
+
+def test_sweep_error_keeps_its_type(default_cfg, monkeypatch, tmp_path, capsys):
+    import dotnmr.sweep as sweep_mod
+
+    def bad_density(cfg, x, m_abs):
+        raise ConfigError("synthetic hyperfine_c failure")
+
+    monkeypatch.setattr(sweep_mod, "delta_m", bad_density)
+    with pytest.raises(ConfigError, match="hyperfine_c"):
         run_sweep(default_cfg, 0.5, 1.0, 3)
+    assert main(["sweep", "--out-dir", str(tmp_path)]) == 1
+    assert "hyperfine_c" in capsys.readouterr().err
 
 
-def test_format_number_nine_significant_digits():
-    assert format_number(0.1234567894) == "0.123456789"
-    assert format_number(1.0) == "1"
-    assert format_number(3) == "3"
-    assert format_number(123456789.123) == "123456789"
-    assert format_number(1e-7) == "1e-07"
+def test_sweep_warns_once_at_m_max():
+    with pytest.warns(UserWarning, match="m_max") as record:
+        sweep = run_sweep(DotConfig(m_max=5), 0.05, 20.0, 1000)
+    assert sweep.m_abs[-1] == 5
+    assert len([w for w in record if "m_max" in str(w.message)]) == 1
+
+
+def test_format_number_nine_significant_digits(tmp_path):
+    values = dict.fromkeys(SWEEP_COLUMNS, 0.0)
+    values.update(x=0.1234567894, b_tesla=1.0, m_abs=3, s_total=1,
+                  mu_m=123456789.123, delta_l0sq=1e-7)
+    sweep = Sweep(**{name: np.array([value]) for name, value in values.items()})
+    line = write_csv(sweep, tmp_path / "fmt.csv").read_text().splitlines()[1]
+    assert line.split(",")[:6] == ["0.123456789", "1", "3", "1", "123456789", "1e-07"]
 
 
 def test_write_csv_layout(tmp_path, default_cfg):
-    rows = [sweep_row(default_cfg, 1.0)]
-    path = write_csv(rows, tmp_path / "one.csv")
+    path = write_csv(sweep_row(default_cfg, 1.0), tmp_path / "one.csv")
     text = path.read_text()
     lines = text.splitlines()
     assert len(lines) == 2
@@ -121,37 +144,37 @@ def test_write_csv_layout(tmp_path, default_cfg):
     assert parsed[0]["m_abs"] == "1"
 
 
-def test_write_csv_deterministic(tmp_path, default_cfg, default_rows):
-    p1 = write_csv(default_rows, tmp_path / "a.csv")
-    p2 = write_csv(default_rows, tmp_path / "b.csv")
+def test_write_csv_deterministic(tmp_path, default_cfg, default_sweep):
+    p1 = write_csv(default_sweep, tmp_path / "a.csv")
+    p2 = write_csv(default_sweep, tmp_path / "b.csv")
     assert p1.read_bytes() == p2.read_bytes()
     digest = hashlib.sha256(p1.read_bytes()).hexdigest()
-    rows_again = run_sweep(default_cfg, 0.05, 5.0, 500)
-    p3 = write_csv(rows_again, tmp_path / "c.csv")
+    sweep_again = run_sweep(default_cfg, 0.05, 5.0, 500)
+    p3 = write_csv(sweep_again, tmp_path / "c.csv")
     assert hashlib.sha256(p3.read_bytes()).hexdigest() == digest
 
 
-def test_write_csv_rejects_empty(tmp_path):
+def test_write_csv_rejects_empty(tmp_path, default_cfg):
     with pytest.raises(ValueError):
-        write_csv([], tmp_path / "none.csv")
+        write_csv(sweep_row(default_cfg, np.empty(0)), tmp_path / "none.csv")
 
 
-def test_default_sweep_golden_digest(tmp_path, default_rows):
+def test_default_sweep_golden_digest(tmp_path, default_sweep):
     # fixed 9-significant-digit formatting keeps this digest platform-stable
-    path = write_csv(default_rows, tmp_path / "golden.csv")
+    path = write_csv(default_sweep, tmp_path / "golden.csv")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "bb28da2a371430dc8b5a7673ac96ad8fab34bfc08e3d959d21eae892a499d67d"
 
 
-def test_svg_segments_match_windows(tmp_path, default_rows):
-    path = emit_svg(default_rows, "delta_l0sq", tmp_path / "delta.svg")
+def test_svg_segments_match_windows(tmp_path, default_sweep):
+    path = emit_svg(default_sweep, "delta_l0sq", tmp_path / "delta.svg")
     text = path.read_text()
     assert text.count("<polyline") == 4
     ET.fromstring(text)  # well-formed XML
 
 
-def test_svg_shift_singlet_segment_is_flat_zero(tmp_path, default_rows):
-    path = emit_svg(default_rows, "shift", tmp_path / "shift.svg")
+def test_svg_shift_singlet_segment_is_flat_zero(tmp_path, default_sweep):
+    path = emit_svg(default_sweep, "shift", tmp_path / "shift.svg")
     root = ET.fromstring(path.read_text())
     ns = "{http://www.w3.org/2000/svg}"
     polylines = root.findall(f"{ns}polyline")
@@ -161,16 +184,16 @@ def test_svg_shift_singlet_segment_is_flat_zero(tmp_path, default_rows):
     assert len(y_values) == 1  # singlet window renders as one flat line
 
 
-def test_svg_rejects_bad_input(tmp_path, default_rows):
+def test_svg_rejects_bad_input(tmp_path, default_cfg, default_sweep):
     with pytest.raises(ValueError, match="unknown column"):
-        emit_svg(default_rows, "nope", tmp_path / "x.svg")
+        emit_svg(default_sweep, "nope", tmp_path / "x.svg")
     with pytest.raises(ValueError):
-        emit_svg([], "shift", tmp_path / "x.svg")
+        emit_svg(sweep_row(default_cfg, np.empty(0)), "shift", tmp_path / "x.svg")
 
 
-def test_svg_deterministic(tmp_path, default_rows):
-    p1 = emit_svg(default_rows, "shift", tmp_path / "s1.svg")
-    p2 = emit_svg(default_rows, "shift", tmp_path / "s2.svg")
+def test_svg_deterministic(tmp_path, default_sweep):
+    p1 = emit_svg(default_sweep, "shift", tmp_path / "s1.svg")
+    p2 = emit_svg(default_sweep, "shift", tmp_path / "s2.svg")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -230,9 +253,9 @@ def test_load_config_invalid_value_propagates(tmp_path):
         load_config(path)
 
 
-def test_manifest_digests_match_bytes(tmp_path, default_cfg, default_rows):
-    csv_path = write_csv(default_rows, tmp_path / "sweep.csv")
-    svg_path = emit_svg(default_rows, "shift", tmp_path / "shift.svg")
+def test_manifest_digests_match_bytes(tmp_path, default_cfg, default_sweep):
+    csv_path = write_csv(default_sweep, tmp_path / "sweep.csv")
+    svg_path = emit_svg(default_sweep, "shift", tmp_path / "shift.svg")
     manifest = build_manifest(default_cfg, SweepSpec(), [csv_path, svg_path])
     out = write_manifest(manifest, tmp_path / "manifest.json")
     data = json.loads(out.read_text())
@@ -241,3 +264,40 @@ def test_manifest_digests_match_bytes(tmp_path, default_cfg, default_rows):
     by_name = {entry["path"]: entry["sha256"] for entry in data["outputs"]}
     assert by_name["sweep.csv"] == sha256_of(csv_path)
     assert by_name["shift.svg"] == sha256_of(svg_path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.05, 0.6),
+    alpha=st.floats(0.0, 8.0),
+    m_max=st.integers(5, 25),
+    x_lo=st.floats(0.01, 4.0),
+    span=st.floats(0.01, 8.0),
+    steps=st.integers(2, 400),
+)
+def test_sweep_matches_independent_routes(g, mstar, alpha, m_max, x_lo, span, steps):
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    x_hi = x_lo + span
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # strong Zeeman drives the labels to m_max
+        sw = run_sweep(cfg, x_lo, x_hi, steps)
+        points = magic_transitions(cfg, x_lo, x_hi)
+        first = ground_state_at(cfg, x_lo).label
+    # labels follow the closed-form staircase away from each boundary
+    edges = [p.x_star for p in points]
+    staircase = [first] + [p.to_state for p in points]
+    for x, m, s in zip(sw.x.tolist(), sw.m_abs.tolist(), sw.s_total.tolist()):
+        if all(abs(x - e) > 1e-9 * x for e in edges):
+            assert (m, s) == staircase[bisect.bisect(edges, x)], x
+    # closed-form resonance against the 6x6 diagonalisation
+    triplet = np.flatnonzero(sw.s_total == 1)
+    for i in triplet[:: max(1, len(triplet) // 4)][:5]:
+        numeric = nmr_numeric(float(sw.a_mhz[i]), float(sw.b_tesla[i]), cfg).f_nmr
+        assert sw.f_nmr_mhz[i] == pytest.approx(numeric, rel=1e-9)
+    # singlet rows are exactly decoupled
+    singlet = sw.s_total == 0
+    assert np.array_equal(sw.f_nmr_mhz[singlet], sw.f0_mhz[singlet])
+    assert np.array_equal(sw.f_nmr_ir_mhz[singlet], sw.f0_mhz[singlet])
+    for column in (sw.a_mhz, sw.a_cm_mhz, sw.shift, sw.shift_ir):
+        assert np.all(column[singlet] == 0.0)
