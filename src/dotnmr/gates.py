@@ -15,6 +15,7 @@ before the fidelity is reported.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -185,18 +186,21 @@ def _optimized_overlap(u: np.ndarray, ideal: np.ndarray) -> float:
     P(b) = e^{-i b/2} m0 + e^{i b/2} m1 and Q(b) likewise from m2, m3.  Its
     maximum over a is exactly |P| + |Q| = |m0 + e^{i b} m1| + |m2 + e^{i b} m3|,
     which has period 2 pi in b; a 256-point grid over b is refined by golden
-    section.
+    section, which evaluates the same expression on Python complex scalars.
     """
-    m = np.diag(u @ ideal.conj().T)
+    m0, m1, m2, m3 = np.diag(u @ ideal.conj().T).tolist()
 
-    def overlap(beta):
-        phase = np.exp(1j * beta)
-        return (np.abs(m[0] + phase * m[1]) + np.abs(m[2] + phase * m[3])) ** 2
+    def overlap(phase):  # phase = e^{i b}, a complex or an array of them
+        return (abs(m0 + phase * m1) + abs(m2 + phase * m3)) ** 2
 
-    grid = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    beta = float(grid[int(np.argmax(overlap(grid)))])
     step = 2.0 * math.pi / 256
-    return float(overlap(_golden_max(overlap, beta - step, beta + step)))
+    grid = np.arange(256) * step
+    beta = float(grid[int(np.argmax(overlap(np.exp(1j * grid))))])
+
+    def overlap_at(b):
+        return overlap(cmath.exp(1j * b))
+
+    return overlap_at(_golden_max(overlap_at, beta - step, beta + step))
 
 
 def cnot_conditional(

@@ -2,9 +2,10 @@
 
 All matrices here are small (dim <= 16) complex numpy arrays with entries in
 MHz.  The eigendecomposition is LAPACK's Hermitian solver (numpy.linalg.eigh);
-each eigenvector's phase is then fixed so that its largest-magnitude component
-is real and positive, which makes repeated calls bitwise identical.  Kets are
-plain complex vectors normalized to 1.
+hermitian_eig then fixes each eigenvector's phase so that its largest-magnitude
+component is real and positive, which makes repeated calls bitwise identical.
+evolve skips that step: a phase on an eigenvector cancels in V exp(-i 2 pi
+lambda t) V^dag.  Kets are plain complex vectors normalized to 1.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ def require_hermitian(h) -> np.ndarray:
     n = a.shape[0]
     if n < 1 or n > MAX_DIM:
         raise ValueError(f"matrix dimension must be in [1, {MAX_DIM}], got {n}")
-    if not np.all(np.isfinite(a)):
+    scale = float(np.abs(a).max())
+    if not math.isfinite(scale):  # a NaN or inf entry makes the max NaN or inf
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    mismatch = float(np.max(np.abs(a - a.conj().T)))
+    mismatch = float(np.abs(a - a.conj().T).max())
     if mismatch > HERMITICITY_TOL * max(scale, 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian: max |H - H^dag| = {mismatch:.3e} "
@@ -58,11 +59,11 @@ def hermitian_eig(h) -> EigenSystem:
     repeated calls are bitwise identical.
     """
     values, vectors = np.linalg.eigh(require_hermitian(h))
+    mags = np.abs(vectors)
+    rows = mags.argmax(axis=0)
     cols = np.arange(values.shape[0])
-    rows = np.argmax(np.abs(vectors), axis=0)
-    pivots = vectors[rows, cols]
-    vectors *= np.conj(pivots) / np.abs(pivots)
-    vectors[rows, cols] = vectors[rows, cols].real  # kill rounding residue in the pivots
+    vectors *= vectors[rows, cols].conj() / mags[rows, cols]
+    vectors.imag[rows, cols] = 0.0  # kill rounding residue in the pivots
     return EigenSystem(values, vectors)
 
 
@@ -71,16 +72,18 @@ def evolve(h, psi, t: float) -> np.ndarray:
 
     psi(t) = V exp(-i 2 pi lambda t) V^dag psi(0); norm-preserving to
     rounding.  Time-dependent drives are handled by callers slicing time.
+    A phase on any column of V cancels in this product, so the eigenvectors
+    come straight from eigh without hermitian_eig's phase convention.
     """
-    es = hermitian_eig(h)
+    values, vectors = np.linalg.eigh(require_hermitian(h))
     state = np.asarray(psi, dtype=complex)
-    if state.shape != (es.values.shape[0],):
+    if state.shape != values.shape:
         raise ValueError(
             f"state dimension {state.shape} does not match matrix dimension "
-            f"{es.values.shape[0]}"
+            f"{values.shape[0]}"
         )
-    phases = np.exp(-2j * math.pi * es.values * t)
-    return es.vectors @ (phases * (es.vectors.conj().T @ state))
+    phases = np.exp(-2j * math.pi * values * t)
+    return vectors @ (phases * (vectors.conj().T @ state))
 
 
 def bracket_roots(

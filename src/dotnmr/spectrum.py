@@ -63,9 +63,17 @@ def effective_omega_ratio(x):
     return np.sqrt(x * x + 4.0)
 
 
+def _ground_energy(m_abs: int, s_total: int, alpha_tilde: float, omega, zeeman, x):
+    """total_ground_energy from omega = effective_omega_ratio(x) and zeeman = zeeman_ratio."""
+    e = 0.5 * omega * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
+    if s_total == 1:
+        e = e - zeeman
+    return e
+
+
 def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
     """Lowest relative-motion energy for angular momentum |m|, in hbar*omega0."""
-    return 0.5 * effective_omega_ratio(x) * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
+    return _ground_energy(m_abs, 0, alpha_tilde, effective_omega_ratio(x), 0.0, x)
 
 
 def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x):
@@ -75,10 +83,9 @@ def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x):
     has no electron Zeeman energy.
     """
     check_parity(m_abs, s_total)
-    e = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
-    if s_total == 1:
-        e -= zeeman_ratio(cfg, x)
-    return e
+    return _ground_energy(
+        m_abs, s_total, cfg.alpha_tilde, effective_omega_ratio(x), zeeman_ratio(cfg, x), x
+    )
 
 
 @dataclass(frozen=True)
@@ -122,10 +129,19 @@ def ground_m_abs(cfg: DotConfig, x):
     """Ground-state |m| at a float or an array x (S is spin_for_m(|m|)).
 
     The lowest total_ground_energy over m in [0, m_max]; ties go to the smaller |m|.
+    Raises FloatingPointError naming the first x whose lowest energy is not
+    finite (x near 1e154 and above overflows x^2).
     """
-    energies = np.stack(
-        [total_ground_energy(m, spin_for_m(m), cfg, x) for m in range(cfg.m_max + 1)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
+        omega, zeeman = effective_omega_ratio(x), zeeman_ratio(cfg, x)
+        energies = np.stack([
+            _ground_energy(m, spin_for_m(m), cfg.alpha_tilde, omega, zeeman, x)
+            for m in range(cfg.m_max + 1)
+        ])
+    finite = np.isfinite(energies.min(axis=0))
+    if not finite.all():
+        bad = np.ravel(x)[np.argmin(np.ravel(finite))]
+        raise FloatingPointError(f"ground-state energy is not finite at x = {bad}")
     return np.argmin(energies, axis=0)
 
 

@@ -16,10 +16,15 @@ flips: from the stretched state |-;1,-1> to the F_z = -1/2 eigenstate
         + sqrt( (A + (gamma_n + gamma_e) B)^2 + 8 A^2 ) / 2,
 
 which nmr_numeric must reproduce from the full 6x6 diagonalization.
+
+The labeled basis and the three operator matrices over it (the coupling
+I+ S- + I- S+ + 2 Iz Sz, Iz and Sz) are built once per S and kept read-only,
+so build_spin_matrix only scales them by A, gamma_n B and gamma_e B.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +33,7 @@ import numpy as np
 from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz
 from .errors import DegenerateSelectionError
 from .hyperfine import coupling_a
-from .numerics import EigenSystem, hermitian_eig
+from .numerics import hermitian_eig
 from .spectrum import ground_state_at
 
 OVERLAP_DEGENERACY_TOL = 1e-12
@@ -74,8 +79,9 @@ class NmrResult:
     f0: float        # bare Larmor gamma_n * B, MHz
 
 
+@functools.cache
 def spin_basis(s_total: int) -> tuple[SpinBasisLabel, ...]:
-    """Basis ordered by descending F_z, then descending i_z."""
+    """Basis ordered by descending F_z, then descending i_z (built once per S)."""
     labels = [
         SpinBasisLabel(i_z=iz, s_total=s_total, s_z=sz)
         for iz in (0.5, -0.5)
@@ -90,6 +96,26 @@ def _raise_coeff(s: float, m: float) -> float:
     return math.sqrt(s * (s + 1.0) - m * (m + 1.0))
 
 
+@functools.cache
+def _spin_operators(s_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (I+ S- + I- S+ + 2 Iz Sz, Iz, Sz) over spin_basis(S)."""
+    labels = spin_basis(s_total)
+    i_z = np.array([lb.i_z for lb in labels])
+    s_z = np.array([lb.s_z for lb in labels], dtype=float)
+    coupling = np.diag(2.0 * i_z * s_z)
+    for i, li in enumerate(labels):
+        for j, lj in enumerate(labels):
+            # I+ S- : i_z up by 1, s_z down by 1 (and the conjugate I- S+)
+            if li.i_z == lj.i_z + 1.0 and li.s_z == lj.s_z - 1:
+                coupling[i, j] = coupling[j, i] = (
+                    _raise_coeff(0.5, lj.i_z) * _raise_coeff(s_total, li.s_z)
+                )
+    ops = (coupling, np.diag(i_z), np.diag(s_z))
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
 def build_spin_matrix(
     a_mhz: float, b_tesla: float, cfg: DotConfig, s_total: int
 ) -> SpinMatrix:
@@ -102,24 +128,9 @@ def build_spin_matrix(
         raise ValueError(f"a_mhz must be >= 0, got {a_mhz}")
     if b_tesla < 0:
         raise ValueError(f"b_tesla must be >= 0, got {b_tesla}")
-    labels = spin_basis(s_total)
-    n = len(labels)
-    h = np.zeros((n, n), dtype=complex)
-    for i, li in enumerate(labels):
-        h[i, i] = (
-            2.0 * a_mhz * li.i_z * li.s_z
-            - cfg.gamma_n * b_tesla * li.i_z
-            + cfg.gamma_e * b_tesla * li.s_z
-        )
-        if s_total == 0:
-            continue
-        for j, lj in enumerate(labels):
-            # I+ S- : i_z up by 1, s_z down by 1 (and the conjugate I- S+)
-            if li.i_z == lj.i_z + 1.0 and li.s_z == lj.s_z - 1:
-                amp = a_mhz * _raise_coeff(0.5, lj.i_z) * _raise_coeff(s_total, li.s_z)
-                h[i, j] += amp
-                h[j, i] += amp
-    return SpinMatrix(matrix=h, labels=labels)
+    coupling, i_z, s_z = _spin_operators(s_total)
+    h = a_mhz * coupling - cfg.gamma_n * b_tesla * i_z + cfg.gamma_e * b_tesla * s_z
+    return SpinMatrix(matrix=h.astype(complex), labels=spin_basis(s_total))
 
 
 def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
@@ -136,9 +147,11 @@ def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
     )
 
 
-def _eigvec_for(es: EigenSystem, index: int) -> int:
-    """Eigenpair whose vector has the largest weight on basis state `index`."""
-    return int(np.argmax(np.abs(es.vectors[index, :])))
+# rows of |+;1,-1>, |-;1,0> and the stretched |-;1,-1> in spin_basis(1)
+_I_FLIP, _I_KEEP, _I_STRETCHED = (
+    spin_basis(1).index(SpinBasisLabel(*label))
+    for label in ((0.5, 1, -1), (-0.5, 1, 0), (-0.5, 1, -1))
+)
 
 
 def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
@@ -146,40 +159,33 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
 
     |Psi> is picked inside the F_z = -1/2 block by maximal overlap with
     |+;1,-1> rather than by eigenvalue order, which stays robust down to
-    B -> 0 where the ordering flips.
+    B -> 0 where the ordering flips.  The stretched state is the eigenvector
+    with the largest weight on |-;1,-1>.
     """
     sm = build_spin_matrix(a_mhz, b_tesla, cfg, s_total=1)
-    labels = sm.labels
-    i_stretched = labels.index(SpinBasisLabel(-0.5, 1, -1))
-    i_flip = labels.index(SpinBasisLabel(0.5, 1, -1))
-    i_keep = labels.index(SpinBasisLabel(-0.5, 1, 0))
-
-    es = hermitian_eig(sm.matrix)
-    block_weight = (
-        np.abs(es.vectors[i_flip, :]) ** 2 + np.abs(es.vectors[i_keep, :]) ** 2
-    )
-    cand = np.argsort(block_weight, kind="stable")[-2:]
-    overlaps = np.abs(es.vectors[i_flip, cand]) ** 2
-    if abs(overlaps[0] - overlaps[1]) <= OVERLAP_DEGENERACY_TOL:
+    values, vectors = hermitian_eig(sm.matrix)
+    mags = np.abs(vectors[[_I_FLIP, _I_KEEP, _I_STRETCHED]])
+    weight = mags[:2] ** 2
+    cand = np.argsort(weight[0] + weight[1], kind="stable")[-2:].tolist()
+    o0, o1 = weight[0, cand].tolist()
+    if abs(o0 - o1) <= OVERLAP_DEGENERACY_TOL:
         raise DegenerateSelectionError(
             "the two F_z = -1/2 eigenstates have equal overlap with |+;1,-1>; "
             "cannot select the resonance partner"
         )
-    j_psi = int(cand[int(np.argmax(overlaps))])
-    j_low = _eigvec_for(es, i_stretched)
+    j_psi = cand[0] if o0 > o1 else cand[1]
+    j_low = int(mags[2].argmax())
 
-    c1 = es.vectors[i_flip, j_psi]
-    c2 = es.vectors[i_keep, j_psi]
+    c1, c2 = vectors[[_I_FLIP, _I_KEEP], j_psi].tolist()
     # real-symmetric block + fixed phase convention leave both real
     if max(abs(c1.imag), abs(c2.imag)) > 1e-10:
         raise DegenerateSelectionError("mixing amplitudes came out complex")
 
-    f_nmr = float(es.values[j_low] - es.values[j_psi])
     return NmrResult(
-        f_nmr=f_nmr,
+        f_nmr=float(values[j_low] - values[j_psi]),
         f_closed=nmr_closed_form(a_mhz, b_tesla, cfg),
-        c1=float(c1.real),
-        c2=float(c2.real),
+        c1=c1.real,
+        c2=c2.real,
         f0=nuclear_larmor_mhz(cfg, b_tesla),
     )
 

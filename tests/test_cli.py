@@ -117,6 +117,22 @@ def test_exit_code_for_non_finite_config_value(
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, x",
+    [
+        (["nmr", "--x", "1e200"], "1e+200"),
+        (["nmr", "--x", "1e308"], "1e+308"),
+        (["sweep", "--x-max", "1e200", "--steps", "3"], "5e+199"),
+    ],
+)
+def test_exit_code_for_overflowing_x(tmp_path, monkeypatch, capsys, command, x):
+    # x^2 overflows above ~1.3e154, leaving no finite energy to pick a label from
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    assert f"not finite at x = {x}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_exit_code_for_usage_error(capsys):
     assert main(["sweep", "--bogus-flag"]) == 1
     assert main(["nmr"]) == 1  # missing required --x

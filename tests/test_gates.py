@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dotnmr import (
     CNOT,
@@ -15,6 +16,7 @@ from dotnmr import (
     rotate_qubit,
     rwa_pulse,
 )
+from dotnmr.gates import _optimized_overlap
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -194,3 +196,27 @@ def test_cnot_phase_optimization_helps():
     opt = cnot_conditional(model, 1 / 20)
     assert opt.fidelity >= raw.fidelity - 1e-12
     assert not raw.corrected
+
+
+def test_optimized_overlap_matches_brute_force_mesh():
+    # independent route: |Tr(CNOT^dag (Rz(a) x Rz(b)) u)|^2 on a dense (a, b)
+    # mesh, its best point polished by Nelder-Mead on the full matrix product
+    rng = np.random.default_rng(5)
+    rz = np.array([rotate_qubit((0.0, 0.0, 1.0), t) for t in np.linspace(0, 2 * math.pi, 128)])
+    zz = np.einsum("aij,bkl->abikjl", rz, rz).reshape(128, 128, 4, 4)
+
+    def fidelity_at(u, ab):
+        z = np.kron(rotate_qubit((0.0, 0.0, 1.0), ab[0]), rotate_qubit((0.0, 0.0, 1.0), ab[1]))
+        return abs(np.trace(CNOT.conj().T @ z @ u)) ** 2
+
+    for _ in range(20):
+        q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        mesh = np.abs(np.einsum("ij,abjk,ki->ab", CNOT.conj().T, zz, u)) ** 2
+        a, b = np.unravel_index(np.argmax(mesh), mesh.shape)
+        start = np.linspace(0, 2 * math.pi, 128)[[a, b]]
+        best = minimize(lambda ab: -fidelity_at(u, ab), start, method="Nelder-Mead",
+                        options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 4000})
+        got = _optimized_overlap(u, CNOT)
+        assert got >= mesh.max() - 1e-12
+        assert abs(got + best.fun) <= 1e-9

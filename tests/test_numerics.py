@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dotnmr import (
     NonHermitianError,
@@ -75,8 +76,11 @@ def test_rejects_non_hermitian_and_bad_shapes():
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eig(np.zeros((17, 17)))
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_eig(np.full((2, 2), np.nan))
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eig(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(np.full((2, 2), bad), np.array([1.0, 0.0], dtype=complex), 1.0)
 
 
 def test_tiny_hermiticity_violation_tolerated():
@@ -119,6 +123,18 @@ def test_evolve_group_property():
     once = evolve(h, psi, 0.9 + 0.4)
     twice = evolve(h, evolve(h, psi, 0.9), 0.4)
     assert np.max(np.abs(once - twice)) <= 1e-10
+
+
+def test_evolve_matches_matrix_exponential():
+    # independent route: scipy's Pade expm of -i 2 pi H t, no eigendecomposition
+    rng = np.random.default_rng(11)
+    for n in range(2, 17):
+        h = random_hermitian(rng, n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        for t in (1e-3, 0.37, 4.1):
+            want = expm(-2j * math.pi * t * h) @ psi
+            assert np.max(np.abs(evolve(h, psi, t) - want)) <= 1e-12
 
 
 def test_evolve_dimension_mismatch():

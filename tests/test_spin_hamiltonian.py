@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotnmr import (
     DegenerateSelectionError,
@@ -50,6 +52,31 @@ def test_triplet_matrix_elements(default_cfg):
     assert h[idx[(0.5, -1)], idx[(-0.5, 0)]] == pytest.approx(math.sqrt(2.0) * a, rel=1e-14)
     assert h[idx[(-0.5, 1)], idx[(0.5, 0)]] == pytest.approx(math.sqrt(2.0) * a, rel=1e-14)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.0, 50.0),
+    b=st.floats(0.0, 30.0),
+    gamma_n=st.floats(0.1, 100.0),
+    gamma_e=st.floats(100.0, 1e5),
+)
+def test_triplet_matrix_matches_kron_route(a, b, gamma_n, gamma_e):
+    # independent route: H from Kronecker products of the spin-1/2 (nucleus)
+    # and spin-1 (electron pair) operators, permuted into spin_basis(1) order
+    iz, ip = np.diag([0.5, -0.5]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    sz, sp = np.diag([1.0, 0.0, -1.0]), math.sqrt(2.0) * np.eye(3, k=1)
+    h = (
+        a * (np.kron(ip, sp.T) + np.kron(ip.T, sp) + 2.0 * np.kron(iz, sz))
+        - gamma_n * b * np.kron(iz, np.eye(3))
+        + gamma_e * b * np.kron(np.eye(2), sz)
+    )
+    perm = [(0 if lb.i_z > 0 else 1) * 3 + (1 - lb.s_z) for lb in spin_basis(1)]
+    want = h[np.ix_(perm, perm)]
+    got = build_spin_matrix(a, b, DotConfig(gamma_n=gamma_n, gamma_e=gamma_e), 1).matrix
+    tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(want)))
+    assert np.all(got.imag == 0.0)
+    assert np.max(np.abs(got.real - want)) <= tol
 
 
 def test_f_z_block_structure_is_exact(default_cfg):
