@@ -104,10 +104,18 @@ def validate_config(cfg: DotConfig) -> DotConfig:
     return cfg
 
 
+def require_non_negative(name: str, value) -> None:
+    """Raise ValueError unless value (a number or an array) is >= 0 throughout; NaN fails.
+
+    A Python scalar is compared directly, since np.all costs microseconds per call.
+    """
+    if not (value >= 0 if isinstance(value, (int, float)) else np.all(value >= 0)):
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def b_field_from_ratio(cfg: DotConfig, x):
     """Magnetic field in Tesla for a ratio x = omega_c/omega_0 (float or array)."""
-    if not np.all(x >= 0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    require_non_negative("x", x)
     return x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
 
 
@@ -116,8 +124,7 @@ def zeeman_ratio(cfg: DotConfig, x):
 
     Algebraically (g/2) * (m*/m_e) * x, independent of the field conversion.
     """
-    if not np.all(x >= 0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    require_non_negative("x", x)
     return 0.5 * cfg.g_factor * cfg.mstar_ratio * x
 
 

@@ -101,12 +101,14 @@ def _rabi_propagator(detuning: float, rabi: float, phase: float, duration: float
     theta = 2.0 * math.pi * omega * duration
     if omega == 0.0 or duration == 0.0:
         return np.eye(2, dtype=complex)
-    n = (
-        rabi * math.cos(phase) * PAULI_X
-        + rabi * math.sin(phase) * PAULI_Y
-        + detuning * PAULI_Z
-    ) / omega
-    return math.cos(0.5 * theta) * np.eye(2, dtype=complex) - 1j * math.sin(0.5 * theta) * n
+    # cos(theta/2) 1 - i sin(theta/2) n.sigma over the unit axis n
+    inv = 1.0 / omega
+    nx, ny, nz = rabi * math.cos(phase) * inv, rabi * math.sin(phase) * inv, detuning * inv
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return np.array([
+        [complex(c, -s * nz), complex(-s * ny, -s * nx)],
+        [complex(s * ny, -s * nx), complex(c, s * nz)],
+    ])
 
 
 def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
@@ -134,8 +136,8 @@ def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
         u[:2, :2] = branches[0]
         u[2:, 2:] = branches[1]
     else:
-        u[np.ix_([0, 2], [0, 2])] = branches[0]
-        u[np.ix_([1, 3], [1, 3])] = branches[1]
+        u[0::2, 0::2] = branches[0]
+        u[1::2, 1::2] = branches[1]
     return u
 
 

@@ -1,14 +1,20 @@
 """CSV and SVG emission from Sweep columns, run manifests, JSON config ingestion.
 
-All emitted bytes are deterministic: numbers are rendered with 9 significant
-digits, newlines are '\\n', and nothing date- or platform-dependent is
-written, so repeated runs produce identical digests.
+All emitted bytes are deterministic: CSV numbers are Python's "%.9g" (9
+significant digits; "%d" for the two label columns) and SVG point
+coordinates its "%.2f", newlines are '\\n', and nothing date- or
+platform-dependent is written, so repeated runs produce identical digests.
+Those numbers are rendered column-wise by ``_numfmt`` with exact half-even
+rounding, the same bytes as Python's %; a CSV row holding a cell outside
+[1e-14, 1e9) (other than 0) is formatted by Python's % itself.  Non-finite
+cells are refused, so no emitted file holds "nan" or "inf".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -25,27 +31,49 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 84, 20, 20, 56
 _SWEEP_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
 
 
+def _require_finite(sweep: Sweep, columns) -> None:
+    """Raise ValueError naming the first column holding nan or inf, at its first such x."""
+    for name in columns:
+        finite = np.isfinite(getattr(sweep, name))
+        if not finite.all():
+            raise ValueError(f"{name} is not finite at x = {sweep.x[np.argmin(finite)]}")
+
+
 def write_csv(sweep: Sweep, path) -> Path:
     """Write the sweep columns under the 14-column header; byte-identical per rerun.
 
     Floats get 9 significant digits ("%.9g"), the two label columns "%d".
     """
+    # imported here, so the commands that print no sweep skip compiling the renderer
+    from ._numfmt import g9_rows
+
     if len(sweep.x) == 0:
         raise ValueError("cannot write an empty sweep")
+    _require_finite(sweep, SWEEP_COLUMNS)
     path = Path(path)
     row_format = ",".join(
         "%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS
     ) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        fh.writelines(row_format % row for row in zip(*(c.tolist() for c in sweep)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(SWEEP_COLUMNS) + "\n").encode("ascii"))
+        fh.writelines(g9_rows(sweep, row_format))
     return path
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _plot_range(values: np.ndarray, pad: float) -> tuple[float, float]:
+    """[min, max] of values widened by pad times its width; a constant spans +-1 first."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad *= hi - lo
+    lo, hi = lo - pad, hi + pad
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"cannot scale a plot axis to [{lo}, {hi}]")
+    return lo, hi
 
 
 def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
@@ -55,20 +83,19 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
     form one polyline; segments are not joined across ground-state changes,
     so the first-order jumps appear as genuine breaks.
     """
+    from ._numfmt import f2_point_runs
+
     if len(sweep.x) == 0:
         raise ValueError("cannot plot an empty sweep")
     if y_column not in SWEEP_COLUMNS:
         raise ValueError(f"unknown column {y_column!r}; choose one of {SWEEP_COLUMNS}")
+    _require_finite(sweep, ("x", y_column))
     path = Path(path)
 
     xs = sweep.x
     ys = getattr(sweep, y_column)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _plot_range(xs, 0.0)
+    y_lo, y_hi = _plot_range(ys, 0.05)
 
     plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -116,12 +143,10 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
         f'font-family="sans-serif" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.2f})">{y_column}</text>'
     )
-    points = [f"{u:.2f},{v:.2f}" for u, v in zip(px(xs).tolist(), py(ys).tolist())]
     breaks = (np.flatnonzero(np.diff(sweep.m_abs)) + 1).tolist()
-    for lo, hi in zip([0] + breaks, breaks + [len(points)]):
+    for points in f2_point_runs(px(xs), py(ys), [0] + breaks + [len(xs)]):
         parts.append(
-            f'<polyline points="{" ".join(points[lo:hi])}" fill="none" '
-            'stroke="#1f4e79" stroke-width="1.5"/>'
+            f'<polyline points="{points}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>'
         )
     parts.append("</svg>")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DotConfig, zeeman_ratio
+from .config import DotConfig, require_non_negative, zeeman_ratio
 from .errors import ParityError
 
 
@@ -58,8 +58,7 @@ def mu_m(m_abs: int, alpha_tilde: float) -> float:
 
 def effective_omega_ratio(x):
     """Hybrid frequency over omega_0: sqrt(x^2 + 4), for a float or an array x."""
-    if not np.all(x >= 0):
-        raise ValueError(f"x must be >= 0, got {x}")
+    require_non_negative("x", x)
     return np.sqrt(x * x + 4.0)
 
 

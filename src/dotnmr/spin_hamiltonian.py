@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz
+from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_non_negative
 from .errors import DegenerateSelectionError
 from .hyperfine import coupling_a
 from .numerics import hermitian_eig
@@ -135,8 +135,8 @@ def build_spin_matrix(
 
 def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
     """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays)."""
-    if not np.all((a_mhz >= 0) & (b_tesla >= 0)):
-        raise ValueError("a_mhz and b_tesla must be >= 0")
+    require_non_negative("a_mhz", a_mhz)
+    require_non_negative("b_tesla", b_tesla)
     gn = cfg.gamma_n
     ge = cfg.gamma_e
     s = a_mhz + (gn + ge) * b_tesla

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dotnmr import (
@@ -11,6 +12,8 @@ from dotnmr import (
     zeeman_ratio,
 )
 from dotnmr.config import H_MEV_PER_MHZ, MU_B_MHZ_PER_T
+from dotnmr.spectrum import effective_omega_ratio
+from dotnmr.spin_hamiltonian import nmr_closed_form
 
 BOHR_MAGNETON_MEV_PER_T = 5.7883818060e-2
 
@@ -76,6 +79,23 @@ def test_b_field_zero_and_negative(default_cfg):
     assert b_field_from_ratio(default_cfg, 0.0) == 0.0
     with pytest.raises(ValueError):
         b_field_from_ratio(default_cfg, -0.1)
+
+
+@pytest.mark.parametrize(
+    "bad", [-0.1, math.nan, np.float64(-1.0), np.array([0.5, -1e-300]), np.array([1.0, np.nan])]
+)
+def test_non_negative_guards_reject_negative_and_nan(default_cfg, bad):
+    for call in (
+        lambda: b_field_from_ratio(default_cfg, bad),
+        lambda: zeeman_ratio(default_cfg, bad),
+        lambda: effective_omega_ratio(bad),
+    ):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            call()
+    with pytest.raises(ValueError, match="a_mhz must be >= 0"):
+        nmr_closed_form(bad, 1.0, default_cfg)
+    with pytest.raises(ValueError, match="b_tesla must be >= 0"):
+        nmr_closed_form(1.0, bad, default_cfg)
 
 
 def test_b_field_linear_in_x(default_cfg):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from dotnmr import (
@@ -114,6 +115,34 @@ def test_register_pulse_unitary_and_block_structure():
     assert unitarity_defect(u) <= 1e-9
     assert np.max(np.abs(u[:2, 2:])) == 0.0
     assert np.max(np.abs(u[2:, :2])) == 0.0
+
+
+def test_rwa_pulse_matches_matrix_exponential():
+    """U = expm(-2 pi i (d Sz + rabi S_phase) t), for one qubit and per branch of the register."""
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
+    sz = np.diag([0.5, -0.5]).astype(complex)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        f_a, f_b, j = rng.uniform(5.0, 50.0, 2).tolist() + [rng.uniform(-0.05, 0.05)]
+        pulse = PulseSpec(carrier=rng.uniform(5.0, 50.0), rabi=rng.uniform(0.01, 2.0),
+                          phase=rng.uniform(-4.0, 4.0), duration=rng.uniform(0.0, 5.0))
+
+        def reference(f):
+            s_phi = math.cos(pulse.phase) * sx + math.sin(pulse.phase) * sy
+            h = (f - pulse.carrier) * sz + pulse.rabi * s_phi
+            return expm(-2j * math.pi * pulse.duration * h)
+
+        assert np.max(np.abs(rwa_pulse(f_a, pulse) - reference(f_a))) <= 1e-12
+        model = TwoQubitModel(f_a=f_a, f_b=f_b, j_coupling=j)
+        projectors = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # the non-driven qubit in |0>, |1>
+        for target, f in ((0, f_a), (1, f_b)):
+            branches = [reference(f + (2 * other - 1) * j) for other in (0, 1)]
+            if target == 0:
+                expected = sum(np.kron(b, p) for b, p in zip(branches, projectors))
+            else:
+                expected = sum(np.kron(p, b) for b, p in zip(branches, projectors))
+            assert np.max(np.abs(rwa_pulse(model, pulse, target) - expected)) <= 1e-12
 
 
 def test_rwa_matches_lab_frame_evolution():

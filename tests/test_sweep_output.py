@@ -2,7 +2,10 @@ import bisect
 import csv
 import hashlib
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -26,9 +29,13 @@ from dotnmr import (
     write_csv,
     write_manifest,
 )
+from dotnmr import _numfmt
+from dotnmr._numfmt import f2_point_runs, g9_rows
 from dotnmr.cli import main
 from dotnmr.output import sha256_of
 from dotnmr.sweep import SweepSpec
+
+ROW_FORMAT = ",".join("%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +171,177 @@ def test_default_sweep_golden_digest(tmp_path, default_sweep):
     path = write_csv(default_sweep, tmp_path / "golden.csv")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "bb28da2a371430dc8b5a7673ac96ad8fab34bfc08e3d959d21eae892a499d67d"
+
+
+@pytest.mark.parametrize(
+    "column, digest",
+    [
+        ("delta_l0sq", "2013d2f0bfc345014c9917f3995a9165d50fdf2c9c9268f5fdda153d61da6755"),
+        ("shift", "922d37575fb7146edb1d991e2b459a6e2ee8e426c65275a94838f7ec4a259ae6"),
+        ("shift_ir", "3456461907964208ddf1da1bf6373894bd0cabf3c9d711c7ac850e88e158ef84"),
+    ],
+)
+def test_default_svg_golden_digest(tmp_path, default_sweep, column, digest):
+    path = emit_svg(default_sweep, column, tmp_path / f"{column}.svg")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def reference_csv(sweep) -> bytes:
+    """write_csv's bytes with every row formatted by Python's %."""
+    rows = "".join(ROW_FORMAT % row for row in zip(*(c.tolist() for c in sweep)))
+    return (",".join(SWEEP_COLUMNS) + "\n" + rows).encode("ascii")
+
+
+def csv_bytes(sweep) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        return write_csv(sweep, Path(tmp) / "sweep.csv").read_bytes()
+
+
+def g9(values) -> list[str]:
+    text = b"".join(g9_rows([np.array(values, dtype=float)], "%.9g\n")).decode("ascii")
+    return text.split("\n")[:-1]
+
+
+@st.composite
+def near_g9_ties(draw):
+    """Doubles within two ulps of a 9-digit rounding tie (D + 1/2) 10^(X - 8)."""
+    value = (draw(st.integers(10**8, 10**9 - 1)) + 0.5) * 10.0 ** draw(st.integers(-22, 0))
+    for _ in range(draw(st.integers(0, 2))):
+        value = np.nextafter(value, draw(st.sampled_from([0.0, math.inf])))
+    return float(value) * draw(st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def exact_g9_ties(draw):
+    """Doubles v = j / 2^(k+1), j odd, whose v 10^k = j 5^k / 2 is a tie in [1e8, 1e9)."""
+    k = draw(st.integers(0, 8))
+    j = draw(st.integers(math.ceil(1e8 * 2 / 5**k), math.ceil(1e9 * 2 / 5**k) - 1)) | 1
+    return j / 2.0 ** (k + 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
+def test_g9_matches_python_on_finite_doubles(values):
+    assert g9(values) == ["%.9g" % v for v in values]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(near_g9_ties() | exact_g9_ties(), min_size=1, max_size=16))
+def test_g9_rounds_ties_half_even_on_the_exact_value(values):
+    assert g9(values) == ["%.9g" % v for v in values]
+
+
+def test_g9_edge_values():
+    edges = [
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (1e-14, "1e-14"),
+        (9.999999999999998e-15, "1e-14"),
+        (1.0000000000000002e-14, "1e-14"),
+        (9.999999995e-15, "1e-14"),
+        (999999999.5, "1e+09"),
+        (-999999999.5, "-1e+09"),
+        (999999999.4999999, "999999999"),
+        (9.9999999995e-05, "0.0001"),
+        (9.9999999949e-05, "9.99999999e-05"),
+        (99999999.95, "100000000"),
+        (9999999.995, "9999999.99"),
+        (-123456789.5, "-123456790"),
+        (0.000123456789, "0.000123456789"),
+        (5e-324, "4.94065646e-324"),
+        (1e300, "1e+300"),
+    ]
+    values, expected = zip(*edges)
+    assert g9(values) == list(expected)
+    assert ["%.9g" % v for v in values] == list(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(
+    st.floats(0.0, 1e4, exclude_max=True)
+    | st.integers(0, 10**6 - 1).map(lambda d: (d + 0.5) / 100)
+    | st.integers(0, 8 * 10**4 - 1).map(lambda j: j / 8),
+    min_size=1, max_size=16,
+))
+def test_f2_points_match_python(values):
+    u, v = np.array(values), np.array(values[::-1])
+    breaks = [0, len(values) // 2, len(values)]
+    points = [f"{a:.2f},{b:.2f}" for a, b in zip(u.tolist(), v.tolist())]
+    expected = [" ".join(points[lo:hi]) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    assert f2_point_runs(u, v, breaks) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.05, 0.6),
+    alpha=st.floats(0.0, 8.0),
+    c=st.floats(0.0, 500.0),
+    m_max=st.integers(5, 25),
+    x_lo=st.floats(1e-6, 4.0),
+    span=st.floats(1e-6, 50.0),
+    steps=st.integers(2, 300),
+)
+def test_write_csv_matches_python_formatting(g, mstar, alpha, c, m_max, x_lo, span, steps):
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, hyperfine_c=c, m_max=m_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m_max and gamma_e consistency warnings
+        sweep = run_sweep(cfg, x_lo, x_lo + span, steps)
+    assert csv_bytes(sweep) == reference_csv(sweep)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(1e-20, 1e-3), (1.0, 2e9)])
+def test_write_csv_fallback_rows_match_python(default_cfg, x_min, x_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the ground state reaches m_max
+        sweep = run_sweep(default_cfg, x_min, x_max, 3000)
+    cells = np.stack([c.astype(float) for c in sweep])
+    foreign = (cells != 0) & ((np.abs(cells) < 1e-14) | (np.abs(cells) >= 1e9))
+    assert 0 < foreign.any(axis=0).sum() < len(sweep.x)
+    assert csv_bytes(sweep) == reference_csv(sweep)
+
+
+def test_write_csv_fallback_rows_across_blocks(default_cfg):
+    block = _numfmt._BLOCK_ROWS
+    sweep = run_sweep(default_cfg, 0.05, 5.0, 2 * block + 7)
+    foreign = [0, block - 1, block, block + 1, 2 * block + 6]
+    for i, value in zip(foreign, (1e-300, 5e-324, -2e9, 999999999.5, 1e9)):
+        sweep.mu_m[i] = value
+    sweep.m_abs[block + 3] = 10**12
+    assert csv_bytes(sweep) == reference_csv(sweep)
+
+
+def test_write_csv_truncates_float_labels_like_percent_d(default_cfg):
+    sweep = sweep_row(default_cfg, np.array([1.0, 2.0, 3.0]))
+    sweep = sweep._replace(m_abs=np.array([3.7, -0.5, 2e9]), s_total=np.array([1.0, 0.0, -1.5]))
+    assert csv_bytes(sweep) == reference_csv(sweep)
+
+
+@pytest.mark.parametrize("column, value", [("a_mhz", np.nan), ("shift", -np.inf), ("x", np.inf)])
+def test_emitters_reject_non_finite_cells(tmp_path, default_cfg, column, value):
+    sweep = sweep_row(default_cfg, np.array([0.5, 1.0, 2.0]))
+    getattr(sweep, column)[1] = value
+    x_text = "inf" if column == "x" else "1.0"
+    with pytest.raises(ValueError, match=f"{column} is not finite at x = {x_text}"):
+        write_csv(sweep, tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match=f"{column} is not finite at x = {x_text}"):
+        emit_svg(sweep, "a_mhz" if column == "x" else column, tmp_path / "bad.svg")
+    assert not (tmp_path / "bad.csv").exists() and not (tmp_path / "bad.svg").exists()
+
+
+def test_svg_renders_constant_x(tmp_path, default_cfg):
+    ns = "{http://www.w3.org/2000/svg}"
+    for sweep in (sweep_row(default_cfg, 1.0), sweep_row(default_cfg, np.full(3, 1.0))):
+        root = ET.fromstring(emit_svg(sweep, "shift", tmp_path / "one.svg").read_text())
+        points = root.find(f"{ns}polyline").get("points").split()
+        assert {point.split(",")[0] for point in points} == {"392.00"}  # mid-plot
+
+
+def test_svg_rejects_unscalable_range(tmp_path, default_cfg):
+    sweep = sweep_row(default_cfg, np.array([0.5, 1.0]))
+    sweep.a_mhz[:] = [-1e308, 1e308]
+    with pytest.raises(ValueError, match="cannot scale"):
+        emit_svg(sweep, "a_mhz", tmp_path / "wide.svg")
 
 
 def test_svg_segments_match_windows(tmp_path, default_sweep):
