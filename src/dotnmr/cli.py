@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -78,20 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[DotConfig, SweepSpec]:
-    if getattr(args, "config", None) is not None:
-        cfg, spec = load_config(args.config)
-    else:
-        cfg, spec = validate_config(DotConfig()), SweepSpec()
-    overrides = {}
-    for key in ("x_min", "x_max", "steps"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    default = args.config is None
+    cfg, spec = (validate_config(DotConfig()), SweepSpec()) if default else load_config(args.config)
+    overrides = {key: getattr(args, key) for key in ("x_min", "x_max", "steps")
+                 if getattr(args, key, None) is not None}
     if getattr(args, "ir", False):
         overrides["ir"] = True
-    if overrides:
-        spec = SweepSpec(**{**spec.__dict__, **overrides})
-    return cfg, spec
+    return cfg, dataclasses.replace(spec, **overrides) if overrides else spec
+
+
+def _flag(args, flag: str, positive: bool = False) -> float:
+    """The value of a float flag; ConfigError naming it unless finite (and > 0 if positive)."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if not math.isfinite(value) or (positive and not value > 0):
+        raise ConfigError(f"{flag} must be finite{' and > 0' if positive else ''}, got {value}")
+    return value
 
 
 def _cmd_sweep(args) -> int:
@@ -115,13 +117,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_transitions(args) -> int:
     cfg, spec = _load(args)
+    if not 0 <= spec.x_min < spec.x_max:
+        raise ConfigError(f"need 0 <= --x-min < --x-max, got [{spec.x_min}, {spec.x_max}]")
     points = magic_transitions(cfg, spec.x_min, spec.x_max)
     print("x_star      (|m|,S) -> (|m|,S)    B_tesla")
     for tp in points:
         b = b_field_from_ratio(cfg, tp.x_star)
-        print(
-            f"{tp.x_star:.6f}    {tp.from_state} -> {tp.to_state}    {b:.6f}"
-        )
+        print(f"{tp.x_star:.6f}    {tp.from_state} -> {tp.to_state}    {b:.6f}")
     if not points:
         print("(no ground-state change in this window)")
     return 0
@@ -129,9 +131,7 @@ def _cmd_transitions(args) -> int:
 
 def _cmd_nmr(args) -> int:
     cfg, _ = _load(args)
-    x = args.x
-    if not math.isfinite(x):
-        raise ConfigError(f"--x must be finite, got {x}")
+    x = _flag(args, "--x", positive=True)  # the bare Larmor f0 vanishes at x = 0
     ground = ground_state_at(cfg, x)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
@@ -154,6 +154,8 @@ def _cmd_nmr(args) -> int:
 
 
 def _cmd_gate(args) -> int:
+    for flag in ("--f-a", "--f-b", "--j-coupling", "--rabi-over-j"):
+        _flag(args, flag, positive=flag == "--rabi-over-j")
     h = hadamard()
     print("Hadamard acts as |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2:")
     print(f"  column 0: ({h[0, 0].real:+.6f}, {h[1, 0].real:+.6f})")

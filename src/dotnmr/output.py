@@ -8,14 +8,20 @@ Those numbers are rendered column-wise by ``_numfmt`` with exact half-even
 rounding, the same bytes as Python's %; a CSV row holding a cell outside
 [1e-14, 1e9) (other than 0) is formatted by Python's % itself.  Non-finite
 cells are refused, so no emitted file holds "nan" or "inf".
+
+Every output is written as a new file: whatever is at its path is removed
+first, so a rerun does not rewrite the previous run's file in place, and a
+symlink at an output path is replaced, not followed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +34,8 @@ SVG_WIDTH = 720
 SVG_HEIGHT = 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 84, 20, 20, 56
 
-_SWEEP_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
+_NUMBER, _INTEGER, _BOOLEAN = ("a number", (int, float)), ("an integer", int), ("a boolean", bool)
+_SWEEP_TYPES = {"x_min": _NUMBER, "x_max": _NUMBER, "steps": _INTEGER, "ir": _BOOLEAN}
 
 
 def _require_finite(sweep: Sweep, columns) -> None:
@@ -37,6 +44,18 @@ def _require_finite(sweep: Sweep, columns) -> None:
         finite = np.isfinite(getattr(sweep, name))
         if not finite.all():
             raise ValueError(f"{name} is not finite at x = {sweep.x[np.argmin(finite)]}")
+
+
+def _write_new(path: Path, chunks: Iterable[bytes]) -> Path:
+    """Write chunks to path as a new file, removing whatever is there first.
+
+    Rewriting a file in place waits on the old pages' writeback, and a
+    symlink at path is replaced, not followed.
+    """
+    path.unlink(missing_ok=True)
+    with open(path, "xb") as fh:
+        fh.writelines(chunks)
+    return path
 
 
 def write_csv(sweep: Sweep, path) -> Path:
@@ -54,10 +73,8 @@ def write_csv(sweep: Sweep, path) -> Path:
     row_format = ",".join(
         "%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS
     ) + "\n"
-    with open(path, "wb") as fh:
-        fh.write((",".join(SWEEP_COLUMNS) + "\n").encode("ascii"))
-        fh.writelines(g9_rows(sweep, row_format))
-    return path
+    header = (",".join(SWEEP_COLUMNS) + "\n").encode("ascii")
+    return _write_new(path, itertools.chain([header], g9_rows(sweep, row_format)))
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -150,9 +167,14 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
         )
     parts.append("</svg>")
 
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write_new(path, [("\n".join(parts) + "\n").encode("ascii")])
+
+
+def _typed(name: str, value, kind: tuple):
+    """value, or ConfigError naming it unless of kind (a JSON type's name, its Python types)."""
+    if not isinstance(value, kind[1]) or (isinstance(value, bool) and kind is not _BOOLEAN):
+        raise ConfigError(f"{name} must be {kind[0]}, got {value!r}")
+    return value
 
 
 def load_config(path) -> tuple[DotConfig, SweepSpec]:
@@ -180,36 +202,19 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    cfg_kwargs = {}
-    for key in CONFIG_FIELDS:
-        if key not in data:
-            continue
-        value = data[key]
-        if key == "m_max":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"m_max must be an integer, got {value!r}")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        cfg_kwargs[key] = value
-    cfg = validate_config(DotConfig(**cfg_kwargs))
+    cfg = validate_config(DotConfig(**{
+        key: _typed(key, data[key], _INTEGER if key == "m_max" else _NUMBER)
+        for key in CONFIG_FIELDS if key in data
+    }))
 
     sweep_data = data.get("sweep", {})
     if not isinstance(sweep_data, dict):
         raise ConfigError("'sweep' must be a JSON object")
-    unknown = sorted(set(sweep_data) - set(_SWEEP_SPEC_FIELDS))
+    unknown = sorted(set(sweep_data) - set(_SWEEP_TYPES))
     if unknown:
         raise ConfigError(f"unknown sweep key(s): {', '.join(unknown)}")
-    for key in ("x_min", "x_max"):
-        if key in sweep_data and (
-            not isinstance(sweep_data[key], (int, float)) or isinstance(sweep_data[key], bool)
-        ):
-            raise ConfigError(f"sweep.{key} must be a number, got {sweep_data[key]!r}")
-    if "steps" in sweep_data and (
-        not isinstance(sweep_data["steps"], int) or isinstance(sweep_data["steps"], bool)
-    ):
-        raise ConfigError(f"sweep.steps must be an integer, got {sweep_data['steps']!r}")
-    if "ir" in sweep_data and not isinstance(sweep_data["ir"], bool):
-        raise ConfigError(f"sweep.ir must be a boolean, got {sweep_data['ir']!r}")
+    for key, value in sweep_data.items():
+        _typed(f"sweep.{key}", value, _SWEEP_TYPES[key])
     return cfg, SweepSpec(**sweep_data)
 
 
@@ -235,8 +240,5 @@ def build_manifest(cfg: DotConfig, spec: SweepSpec, paths: list[Path]) -> RunMan
 
 
 def write_manifest(manifest: RunManifest, path) -> Path:
-    path = Path(path)
-    payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(payload + "\n")
-    return path
+    payload = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    return _write_new(Path(path), [payload.encode("ascii")])

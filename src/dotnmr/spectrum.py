@@ -17,12 +17,16 @@ S_z = -1 Zeeman branch.  As the field ratio x grows the ground state hops
 through the magic-number sequence (0,0), (1,1), (3,1), (5,1), ...
 
 Every pair of labels crosses at most once, at a closed-form x (Wagner, Merkt
-& Chaplik, PRB 45, 1951 (1992)), so the boundaries come from walking the lower
-envelope label by label, with no scan or root search.
+& Chaplik, PRB 45, 1951 (1992)), so the whole staircase comes from one walk
+along the lower envelope from x = 0, with no scan or root search.  It is
+computed once per (frozen, hashable) DotConfig and cached: the ground state
+at any x is a binary search over its crossings, and the transitions in a
+window are a slice of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,7 +55,7 @@ def mu_m(m_abs: int, alpha_tilde: float) -> float:
     """Effective angular-momentum index sqrt(m^2 + alpha_tilde)."""
     if m_abs < 0:
         raise ValueError(f"m_abs must be >= 0, got {m_abs}")
-    if alpha_tilde < 0:
+    if not alpha_tilde >= 0:
         raise ValueError(f"alpha_tilde must be >= 0, got {alpha_tilde}")
     return math.sqrt(m_abs * m_abs + alpha_tilde)
 
@@ -62,17 +66,9 @@ def effective_omega_ratio(x):
     return np.sqrt(x * x + 4.0)
 
 
-def _ground_energy(m_abs: int, s_total: int, alpha_tilde: float, omega, zeeman, x):
-    """total_ground_energy from omega = effective_omega_ratio(x) and zeeman = zeeman_ratio."""
-    e = 0.5 * omega * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
-    if s_total == 1:
-        e = e - zeeman
-    return e
-
-
 def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
     """Lowest relative-motion energy for angular momentum |m|, in hbar*omega0."""
-    return _ground_energy(m_abs, 0, alpha_tilde, effective_omega_ratio(x), 0.0, x)
+    return 0.5 * effective_omega_ratio(x) * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
 
 
 def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x):
@@ -82,9 +78,8 @@ def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x):
     has no electron Zeeman energy.
     """
     check_parity(m_abs, s_total)
-    return _ground_energy(
-        m_abs, s_total, cfg.alpha_tilde, effective_omega_ratio(x), zeeman_ratio(cfg, x), x
-    )
+    energy = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
+    return energy - zeeman_ratio(cfg, x) if s_total == 1 else energy
 
 
 @dataclass(frozen=True)
@@ -124,87 +119,93 @@ class TransitionPoint:
             )
 
 
+@functools.lru_cache(maxsize=256)
+def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ground-state staircase of cfg: (crossings, labels), read-only arrays.
+
+    labels[i] is the ground-state |m| from crossings[i - 1] to crossings[i]; the
+    first holds from x = 0, where (0, 0) always wins, the last up to inf.  A
+    label b above the current a crosses it at most once, at the root of
+    sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + g m*/m_e dS), and never when k <= 1:
+
+        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a).
+
+    Smaller |m| never return, so the next crossing is the smallest x* ahead.
+    """
+    zeeman_slope = cfg.g_factor * cfg.mstar_ratio
+    require_non_negative("g_factor * mstar_ratio", zeeman_slope)
+    mu = [mu_m(m, cfg.alpha_tilde) for m in range(cfg.m_max + 1)]
+
+    def crossing(a: int, b: int) -> float:
+        k = (b - a + zeeman_slope * (spin_for_m(b) - spin_for_m(a))) / (mu[b] - mu[a])
+        return 2.0 / math.sqrt(k * k - 1.0) if k > 1.0 else math.inf
+
+    x, crossings, labels = 0.0, [], [0]
+    while labels[-1] < cfg.m_max:
+        ahead = [(x_b, b) for b in range(labels[-1] + 1, cfg.m_max + 1)
+                 if x < (x_b := crossing(labels[-1], b)) < math.inf]
+        if not ahead:
+            break
+        x, b = min(ahead)  # on a tie the smaller |m|
+        crossings.append(x)
+        labels.append(b)
+    staircase = np.array(crossings, dtype=float), np.array(labels, dtype=np.intp)
+    for array in staircase:
+        array.flags.writeable = False
+    return staircase
+
+
 def ground_m_abs(cfg: DotConfig, x):
     """Ground-state |m| at a float or an array x (S is spin_for_m(|m|)).
 
-    The lowest total_ground_energy over m in [0, m_max]; ties go to the smaller |m|.
-    Raises FloatingPointError naming the first x whose lowest energy is not
-    finite (x near 1e154 and above overflows x^2).
+    Read off the cached staircase: the label of the window holding x, with
+    x == x* going to the smaller |m|, as the lowest energy does on a tie.
+    Raises ValueError for a negative or NaN x, and FloatingPointError naming
+    the first x whose energies are not finite (x^2 overflows above ~1.3e154).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
-        omega, zeeman = effective_omega_ratio(x), zeeman_ratio(cfg, x)
-        energies = np.stack([
-            _ground_energy(m, spin_for_m(m), cfg.alpha_tilde, omega, zeeman, x)
-            for m in range(cfg.m_max + 1)
-        ])
-    finite = np.isfinite(energies.min(axis=0))
+    require_non_negative("x", x)
+    with np.errstate(over="ignore"):  # reported below, naming x
+        finite = np.isfinite(x * x)
     if not finite.all():
         bad = np.ravel(x)[np.argmin(np.ravel(finite))]
         raise FloatingPointError(f"ground-state energy is not finite at x = {bad}")
-    return np.argmin(energies, axis=0)
+    crossings, labels = _staircase(cfg)
+    return labels[np.searchsorted(crossings, x, side="left")]
+
+
+def _warn_m_max(cfg: DotConfig, x) -> None:
+    message = f"ground-state search hit m_max={cfg.m_max} at x={x}; increase m_max to trust this result"
+    warnings.warn(message, stacklevel=3)
 
 
 def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
     """Ground-state label at one ratio x (see ground_m_abs).
 
-    When the minimum lands on m_max itself the true ground state may lie
-    outside the searched window, so the result carries a boundary flag and a
-    warning is issued.
+    When the label is m_max itself the true ground state may lie outside the
+    searched window, so the result carries a boundary flag and a warning is
+    issued on every such call.
     """
     best_m = int(ground_m_abs(cfg, x))
     at_boundary = best_m == cfg.m_max
     if at_boundary:
-        warnings.warn(
-            f"ground-state search hit m_max={cfg.m_max} at x={x}; "
-            "increase m_max to trust this result",
-            stacklevel=2,
-        )
-    return OrbitalGround(
-        x=x,
-        m_abs=best_m,
-        s_total=spin_for_m(best_m),
-        at_search_boundary=at_boundary,
-    )
+        _warn_m_max(cfg, x)
+    return OrbitalGround(x, best_m, spin_for_m(best_m), at_search_boundary=at_boundary)
 
 
 def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[TransitionPoint]:
-    """Locate every ground-state change in (x_lo, x_hi) by walking the envelope.
+    """Every ground-state change in (x_lo, x_hi): the slice of the cached staircase.
 
-    Any label b with |m| above the current label a crosses it at most once,
-    at the exact root of sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + g m*/m_e dS):
-
-        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a),
-
-    and never when k <= 1.  Labels with smaller |m| never return, so the next
-    boundary is the smallest such x* above the current one.
+    Warns, once per call, when the ground state in the window reaches m_max.
     """
     if not 0 <= x_lo < x_hi:
         raise ValueError(f"need 0 <= x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    zeeman_slope = cfg.g_factor * cfg.mstar_ratio
-    m_a, s_a = ground_state_at(cfg, x_lo).label
-    x = x_lo
-    points: list[TransitionPoint] = []
-    while m_a < cfg.m_max:
-        mu_a = mu_m(m_a, cfg.alpha_tilde)
-        best = None
-        for m_b in range(m_a + 1, cfg.m_max + 1):
-            k = (m_b - m_a + zeeman_slope * (spin_for_m(m_b) - s_a)) / (
-                mu_m(m_b, cfg.alpha_tilde) - mu_a
-            )
-            if k > 1.0:
-                x_star = 2.0 / math.sqrt(k * k - 1.0)
-                if x < x_star < x_hi and (best is None or x_star < best[0]):
-                    best = (x_star, m_b)
-        if best is None:
-            break
-        x, m_b = best
-        s_b = spin_for_m(m_b)
-        points.append(TransitionPoint(x_star=x, from_state=(m_a, s_a), to_state=(m_b, s_b)))
-        m_a, s_a = m_b, s_b
-        if m_a == cfg.m_max:
-            warnings.warn(
-                f"ground-state walk reached m_max={cfg.m_max} at x={x}; "
-                "increase m_max to trust the boundaries above it",
-                stacklevel=2,
-            )
+    crossings, labels = _staircase(cfg)
+    first, last = np.searchsorted(crossings, x_lo, "right"), np.searchsorted(crossings, x_hi)
+    m = labels[first : last + 1].tolist()
+    points = [
+        TransitionPoint(x_star, (m_a, spin_for_m(m_a)), (m_b, spin_for_m(m_b)))
+        for x_star, m_a, m_b in zip(crossings[first:last].tolist(), m, m[1:])
+    ]
+    if labels[last] == cfg.m_max:
+        _warn_m_max(cfg, points[-1].x_star if points else x_lo)
     return points

@@ -124,10 +124,8 @@ def build_spin_matrix(
     Triplet: full 6x6 with the flip-flop and Iz Sz terms.  Singlet electrons
     are uncoupled, leaving a 2x2 nuclear Zeeman matrix.
     """
-    if a_mhz < 0:
-        raise ValueError(f"a_mhz must be >= 0, got {a_mhz}")
-    if b_tesla < 0:
-        raise ValueError(f"b_tesla must be >= 0, got {b_tesla}")
+    require_non_negative("a_mhz", a_mhz)
+    require_non_negative("b_tesla", b_tesla)
     coupling, i_z, s_z = _spin_operators(s_total)
     h = a_mhz * coupling - cfg.gamma_n * b_tesla * i_z + cfg.gamma_e * b_tesla * s_z
     return SpinMatrix(matrix=h.astype(complex), labels=spin_basis(s_total))

@@ -145,3 +145,52 @@ def test_exit_code_for_numerical_failure(capsys):
 
 def test_exit_code_for_bad_sweep_bounds(capsys):
     assert main(["sweep", "--x-min", "0", "--out-dir", "/tmp/ignored"]) == 1
+
+
+def test_sweep_rerun_into_same_dir_writes_identical_files(tmp_path):
+    names = ("sweep.csv", "coupling.svg", "shift.svg", "manifest.json")
+    runs = []
+    for _ in range(2):
+        assert main(["sweep", "--steps", "90", "--svg", "--out-dir", str(tmp_path)]) == 0
+        runs.append({name: (tmp_path / name).read_bytes() for name in names})
+        manifest = json.loads(runs[-1]["manifest.json"])
+        for entry in manifest["outputs"]:
+            assert entry["sha256"] == sha256_of(tmp_path / entry["path"])
+    assert runs[0] == runs[1]
+
+
+def test_sweep_replaces_a_symlink_instead_of_following_it(tmp_path):
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"keep me\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "sweep.csv").symlink_to(target)
+    assert main(["sweep", "--steps", "20", "--out-dir", str(out_dir)]) == 0
+    csv_path = out_dir / "sweep.csv"
+    assert csv_path.is_file() and not csv_path.is_symlink()
+    assert csv_path.read_bytes().startswith(b"x,b_tesla,")
+    assert target.read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["nmr", "--x", "0"], "--x"),
+        (["nmr", "--x", "-1"], "--x"),
+        (["nmr", "--x", "-inf"], "--x"),
+        (["transitions", "--x-min", "-1"], "--x-min"),
+        (["transitions", "--x-min", "3", "--x-max", "2"], "--x-max"),
+        (["transitions", "--x-min", "2", "--x-max", "2"], "--x-max"),
+        (["gate", "--f-a", "inf"], "--f-a"),
+        (["gate", "--f-b", "nan"], "--f-b"),
+        (["gate", "--j-coupling", "nan"], "--j-coupling"),
+        (["gate", "--rabi-over-j", "nan"], "--rabi-over-j"),
+        (["gate", "--rabi-over-j", "inf"], "--rabi-over-j"),
+        (["gate", "--rabi-over-j", "0"], "--rabi-over-j"),
+    ],
+)
+def test_bad_point_query_flag_exits_1_before_printing(capsys, argv, flag):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and flag in captured.err

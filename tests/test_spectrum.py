@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from dotnmr import (
     total_ground_energy,
     validate_config,
 )
+from dotnmr.spectrum import _staircase, ground_m_abs
 
 
 def boundary_singlet_triplet(zeeman_slope: float, alpha_tilde: float = 3.0) -> float:
@@ -237,3 +239,82 @@ def test_magic_transitions_warns_once_at_m_max():
         points = magic_transitions(DotConfig(m_max=5), 0.05, 5.0)
     assert points[-1].to_state == (5, 1)
     assert len([w for w in record if "m_max" in str(w.message)]) == 1
+
+
+def argmin_ground_m(cfg, x):
+    """Independent reference: the lowest total_ground_energy over |m| in [0, m_max].
+
+    Ties go to the smaller |m| (np.argmin keeps the first minimum).
+    """
+    energies = np.stack(
+        [total_ground_energy(m, m % 2, cfg, x) for m in range(cfg.m_max + 1)]
+    )
+    return np.argmin(energies, axis=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.05, 0.6),
+    alpha=st.floats(0.0, 8.0),
+    m_max=st.integers(5, 25),
+    xs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=50),
+)
+def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    crossings, _ = _staircase(cfg)
+    # the rounded energies may order either way within a few ulps of a crossing
+    xs = [x for x in [0.0, *xs] if np.all(np.abs(crossings - x) > 1e-9 * x)]
+    want = argmin_ground_m(cfg, np.array(xs))
+    assert np.array_equal(ground_m_abs(cfg, np.array(xs)), want)
+    assert [int(ground_m_abs(cfg, x)) for x in xs] == want.tolist()
+
+
+def test_exact_crossing_goes_to_the_smaller_m(default_cfg):
+    points = magic_transitions(default_cfg, 0.0, 5.0)
+    assert points
+    for p in points:
+        assert ground_state_at(default_cfg, p.x_star).label == p.from_state
+        assert ground_state_at(default_cfg, math.nextafter(p.x_star, math.inf)).label == p.to_state
+    xs = np.array([p.x_star for p in points])
+    assert ground_m_abs(default_cfg, xs).tolist() == [p.from_state[0] for p in points]
+
+
+def test_staircase_is_cached_per_config():
+    a, b = DotConfig(alpha_tilde=2.5), DotConfig(alpha_tilde=2.5)
+    assert a is not b
+    assert _staircase(a) is _staircase(b)
+    crossings, labels = _staircase(a)
+    assert not crossings.flags.writeable and not labels.flags.writeable
+    other = _staircase(DotConfig(alpha_tilde=2.6))
+    assert other is not _staircase(a)
+    assert not np.array_equal(other[0], crossings)
+
+
+def test_every_call_past_m_max_warns():
+    cfg = DotConfig(m_max=5)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="m_max"):
+            assert ground_state_at(cfg, 20.0).at_search_boundary
+        with pytest.warns(UserWarning, match="m_max") as record:
+            magic_transitions(cfg, 0.05, 20.0)
+        assert len(record) == 1
+
+
+@pytest.mark.parametrize("x", [math.nan, -1e-300, np.array([1.0, math.nan])])
+def test_ground_m_abs_rejects_nan_and_negative_x(default_cfg, x):
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        ground_m_abs(default_cfg, x)
+
+
+def test_ground_m_abs_names_the_first_overflowing_x(default_cfg):
+    with pytest.raises(FloatingPointError, match=r"not finite at x = 2e\+154"):
+        ground_m_abs(default_cfg, np.array([1.0, 2e154, math.inf]))
+    with pytest.raises(FloatingPointError, match="not finite at x = inf"):
+        ground_m_abs(default_cfg, math.inf)
+
+
+@pytest.mark.parametrize("field", ["alpha_tilde", "g_factor", "mstar_ratio"])
+def test_staircase_rejects_a_nan_config_value_by_name(field):
+    with pytest.raises(ValueError, match=field):
+        ground_state_at(DotConfig(**{field: math.nan}), 1.0)

@@ -201,3 +201,12 @@ def test_build_matrix_rejects_negative_inputs(default_cfg):
         build_spin_matrix(-1.0, 1.0, default_cfg, 1)
     with pytest.raises(ValueError):
         build_spin_matrix(1.0, -1.0, default_cfg, 1)
+
+
+def test_build_matrix_rejects_nan_inputs_by_name(default_cfg):
+    with pytest.raises(ValueError, match="a_mhz must be >= 0"):
+        build_spin_matrix(math.nan, 1.0, default_cfg, 1)
+    with pytest.raises(ValueError, match="b_tesla must be >= 0"):
+        build_spin_matrix(1.0, math.nan, default_cfg, 0)
+    with pytest.raises(ValueError, match="a_mhz"):
+        nmr_numeric(math.nan, 1.0, default_cfg)
