@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -79,13 +78,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[DotConfig, SweepSpec]:
-    default = args.config is None
-    cfg, spec = (validate_config(DotConfig()), SweepSpec()) if default else load_config(args.config)
-    overrides = {key: getattr(args, key) for key in ("x_min", "x_max", "steps")
-                 if getattr(args, key, None) is not None}
+    if getattr(args, "config", None) is not None:
+        cfg, spec = load_config(args.config)
+    else:
+        cfg, spec = validate_config(DotConfig()), SweepSpec()
+    overrides = {}
+    for key in ("x_min", "x_max", "steps"):
+        value = getattr(args, key, None)
+        if value is not None:
+            overrides[key] = value
     if getattr(args, "ir", False):
         overrides["ir"] = True
-    return cfg, dataclasses.replace(spec, **overrides) if overrides else spec
+    if overrides:
+        spec = SweepSpec(**{**spec.__dict__, **overrides})
+    return cfg, spec
 
 
 def _flag(args, flag: str, positive: bool = False) -> float:
@@ -117,13 +123,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_transitions(args) -> int:
     cfg, spec = _load(args)
-    if not 0 <= spec.x_min < spec.x_max:
-        raise ConfigError(f"need 0 <= --x-min < --x-max, got [{spec.x_min}, {spec.x_max}]")
+    if not spec.x_min >= 0:
+        raise ConfigError(f"--x-min must be >= 0, got {spec.x_min}")
+    if not spec.x_max > spec.x_min:
+        raise ConfigError(f"--x-max must exceed --x-min, got {spec.x_max} <= {spec.x_min}")
     points = magic_transitions(cfg, spec.x_min, spec.x_max)
     print("x_star      (|m|,S) -> (|m|,S)    B_tesla")
     for tp in points:
         b = b_field_from_ratio(cfg, tp.x_star)
-        print(f"{tp.x_star:.6f}    {tp.from_state} -> {tp.to_state}    {b:.6f}")
+        print(
+            f"{tp.x_star:.6f}    {tp.from_state} -> {tp.to_state}    {b:.6f}"
+        )
     if not points:
         print("(no ground-state change in this window)")
     return 0

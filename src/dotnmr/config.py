@@ -66,22 +66,26 @@ def validate_config(cfg: DotConfig) -> DotConfig:
         value = getattr(cfg, name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-    for name in ("hbar_omega0", "mstar_ratio", "gamma_n"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"{name} must be > 0, got {getattr(cfg, name)}")
+    if not cfg.hbar_omega0 > 0:
+        raise ConfigError(f"hbar_omega0 must be > 0, got {cfg.hbar_omega0}")
+    if not cfg.mstar_ratio > 0:
+        raise ConfigError(f"mstar_ratio must be > 0, got {cfg.mstar_ratio}")
     if cfg.g_factor < 0:
         raise ConfigError(f"g_factor is |g*| and must be >= 0, got {cfg.g_factor}")
     if not isinstance(cfg.m_max, int) or isinstance(cfg.m_max, bool):
         raise ConfigError(f"m_max must be an integer, got {cfg.m_max!r}")
     if cfg.m_max < 5:
         raise ConfigError(f"m_max must be >= 5, got {cfg.m_max}")
+    if not cfg.gamma_n > 0:
+        raise ConfigError(f"gamma_n must be > 0, got {cfg.gamma_n}")
     if not cfg.gamma_e > cfg.gamma_n:
         raise ConfigError(
             f"gamma_e must exceed gamma_n, got gamma_e={cfg.gamma_e}, gamma_n={cfg.gamma_n}"
         )
-    for name in ("alpha_tilde", "hyperfine_c"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+    if cfg.alpha_tilde < 0:
+        raise ConfigError(f"alpha_tilde must be >= 0, got {cfg.alpha_tilde}")
+    if cfg.hyperfine_c < 0:
+        raise ConfigError(f"hyperfine_c must be >= 0, got {cfg.hyperfine_c}")
 
     if cfg.gamma_e < 100.0 * cfg.gamma_n:
         warnings.warn(

@@ -11,7 +11,11 @@ cells are refused, so no emitted file holds "nan" or "inf".
 
 Every output is written as a new file: whatever is at its path is removed
 first, so a rerun does not rewrite the previous run's file in place, and a
-symlink at an output path is replaced, not followed.
+symlink at an output path is replaced, not followed.  Nothing is synced to
+disk: after a system crash soon after a run, an output of that run may be
+empty or missing, with the previous run's file already gone; its manifest
+digest then no longer matches, and rerunning the sweep rewrites the same
+bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +38,7 @@ SVG_WIDTH = 720
 SVG_HEIGHT = 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 84, 20, 20, 56
 
-_NUMBER, _INTEGER, _BOOLEAN = ("a number", (int, float)), ("an integer", int), ("a boolean", bool)
-_SWEEP_TYPES = {"x_min": _NUMBER, "x_max": _NUMBER, "steps": _INTEGER, "ir": _BOOLEAN}
+_SWEEP_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
 
 
 def _require_finite(sweep: Sweep, columns) -> None:
@@ -49,8 +52,11 @@ def _require_finite(sweep: Sweep, columns) -> None:
 def _write_new(path: Path, chunks: Iterable[bytes]) -> Path:
     """Write chunks to path as a new file, removing whatever is there first.
 
-    Rewriting a file in place waits on the old pages' writeback, and a
-    symlink at path is replaced, not followed.
+    On ext4 (auto_da_alloc), truncating a file and rewriting it, or renaming
+    a temporary file over it, flushes the new data on close or rename and
+    waits on the old pages' writeback; a new file skips both, at the cost of
+    the crash window in the module docstring.  A symlink at path is
+    replaced, not followed.
     """
     path.unlink(missing_ok=True)
     with open(path, "xb") as fh:
@@ -170,13 +176,6 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
     return _write_new(path, [("\n".join(parts) + "\n").encode("ascii")])
 
 
-def _typed(name: str, value, kind: tuple):
-    """value, or ConfigError naming it unless of kind (a JSON type's name, its Python types)."""
-    if not isinstance(value, kind[1]) or (isinstance(value, bool) and kind is not _BOOLEAN):
-        raise ConfigError(f"{name} must be {kind[0]}, got {value!r}")
-    return value
-
-
 def load_config(path) -> tuple[DotConfig, SweepSpec]:
     """Strict JSON config: dot parameters at top level, grid under "sweep".
 
@@ -202,19 +201,36 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    cfg = validate_config(DotConfig(**{
-        key: _typed(key, data[key], _INTEGER if key == "m_max" else _NUMBER)
-        for key in CONFIG_FIELDS if key in data
-    }))
+    cfg_kwargs = {}
+    for key in CONFIG_FIELDS:
+        if key not in data:
+            continue
+        value = data[key]
+        if key == "m_max":
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"m_max must be an integer, got {value!r}")
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        cfg_kwargs[key] = value
+    cfg = validate_config(DotConfig(**cfg_kwargs))
 
     sweep_data = data.get("sweep", {})
     if not isinstance(sweep_data, dict):
         raise ConfigError("'sweep' must be a JSON object")
-    unknown = sorted(set(sweep_data) - set(_SWEEP_TYPES))
+    unknown = sorted(set(sweep_data) - set(_SWEEP_SPEC_FIELDS))
     if unknown:
         raise ConfigError(f"unknown sweep key(s): {', '.join(unknown)}")
-    for key, value in sweep_data.items():
-        _typed(f"sweep.{key}", value, _SWEEP_TYPES[key])
+    for key in ("x_min", "x_max"):
+        if key in sweep_data and (
+            not isinstance(sweep_data[key], (int, float)) or isinstance(sweep_data[key], bool)
+        ):
+            raise ConfigError(f"sweep.{key} must be a number, got {sweep_data[key]!r}")
+    if "steps" in sweep_data and (
+        not isinstance(sweep_data["steps"], int) or isinstance(sweep_data["steps"], bool)
+    ):
+        raise ConfigError(f"sweep.steps must be an integer, got {sweep_data['steps']!r}")
+    if "ir" in sweep_data and not isinstance(sweep_data["ir"], bool):
+        raise ConfigError(f"sweep.ir must be a boolean, got {sweep_data['ir']!r}")
     return cfg, SweepSpec(**sweep_data)
 
 

@@ -119,6 +119,10 @@ class TransitionPoint:
             )
 
 
+# An entry holds under 1 KB (two short arrays and its DotConfig key), so 256
+# of them stay far below the process's ~40 MB; a scan over up to 256 devices
+# in one process walks each envelope once.  A miss costs one walk, about as
+# much as an energy argmin over all m_max + 1 labels at a single x.
 @functools.lru_cache(maxsize=256)
 def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
     """The ground-state staircase of cfg: (crossings, labels), read-only arrays.
@@ -135,20 +139,20 @@ def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
     zeeman_slope = cfg.g_factor * cfg.mstar_ratio
     require_non_negative("g_factor * mstar_ratio", zeeman_slope)
     mu = [mu_m(m, cfg.alpha_tilde) for m in range(cfg.m_max + 1)]
-
-    def crossing(a: int, b: int) -> float:
-        k = (b - a + zeeman_slope * (spin_for_m(b) - spin_for_m(a))) / (mu[b] - mu[a])
-        return 2.0 / math.sqrt(k * k - 1.0) if k > 1.0 else math.inf
-
-    x, crossings, labels = 0.0, [], [0]
-    while labels[-1] < cfg.m_max:
-        ahead = [(x_b, b) for b in range(labels[-1] + 1, cfg.m_max + 1)
-                 if x < (x_b := crossing(labels[-1], b)) < math.inf]
-        if not ahead:
+    spin = [spin_for_m(m) for m in range(cfg.m_max + 1)]
+    x, a, crossings, labels = 0.0, 0, [], [0]
+    while a < cfg.m_max:
+        next_x, next_b = math.inf, None
+        for b in range(a + 1, cfg.m_max + 1):
+            k = (b - a + zeeman_slope * (spin[b] - spin[a])) / (mu[b] - mu[a])
+            # strict < keeps the smaller |m| on a tie
+            if k > 1.0 and x < (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
+                next_x, next_b = x_b, b
+        if next_b is None:
             break
-        x, b = min(ahead)  # on a tie the smaller |m|
+        x, a = next_x, next_b
         crossings.append(x)
-        labels.append(b)
+        labels.append(a)
     staircase = np.array(crossings, dtype=float), np.array(labels, dtype=np.intp)
     for array in staircase:
         array.flags.writeable = False
@@ -173,11 +177,6 @@ def ground_m_abs(cfg: DotConfig, x):
     return labels[np.searchsorted(crossings, x, side="left")]
 
 
-def _warn_m_max(cfg: DotConfig, x) -> None:
-    message = f"ground-state search hit m_max={cfg.m_max} at x={x}; increase m_max to trust this result"
-    warnings.warn(message, stacklevel=3)
-
-
 def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
     """Ground-state label at one ratio x (see ground_m_abs).
 
@@ -188,8 +187,17 @@ def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
     best_m = int(ground_m_abs(cfg, x))
     at_boundary = best_m == cfg.m_max
     if at_boundary:
-        _warn_m_max(cfg, x)
-    return OrbitalGround(x, best_m, spin_for_m(best_m), at_search_boundary=at_boundary)
+        warnings.warn(
+            f"ground-state search hit m_max={cfg.m_max} at x={x}; "
+            "increase m_max to trust this result",
+            stacklevel=2,
+        )
+    return OrbitalGround(
+        x=x,
+        m_abs=best_m,
+        s_total=spin_for_m(best_m),
+        at_search_boundary=at_boundary,
+    )
 
 
 def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[TransitionPoint]:
@@ -203,9 +211,16 @@ def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[Transiti
     first, last = np.searchsorted(crossings, x_lo, "right"), np.searchsorted(crossings, x_hi)
     m = labels[first : last + 1].tolist()
     points = [
-        TransitionPoint(x_star, (m_a, spin_for_m(m_a)), (m_b, spin_for_m(m_b)))
+        TransitionPoint(
+            x_star=x_star, from_state=(m_a, spin_for_m(m_a)), to_state=(m_b, spin_for_m(m_b))
+        )
         for x_star, m_a, m_b in zip(crossings[first:last].tolist(), m, m[1:])
     ]
     if labels[last] == cfg.m_max:
-        _warn_m_max(cfg, points[-1].x_star if points else x_lo)
+        warnings.warn(
+            f"ground-state walk reached m_max={cfg.m_max} at "
+            f"x={points[-1].x_star if points else x_lo}; "
+            "increase m_max to trust the boundaries above it",
+            stacklevel=2,
+        )
     return points

@@ -173,24 +173,27 @@ def test_sweep_replaces_a_symlink_instead_of_following_it(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (["nmr", "--x", "0"], "--x"),
-        (["nmr", "--x", "-1"], "--x"),
-        (["nmr", "--x", "-inf"], "--x"),
-        (["transitions", "--x-min", "-1"], "--x-min"),
-        (["transitions", "--x-min", "3", "--x-max", "2"], "--x-max"),
-        (["transitions", "--x-min", "2", "--x-max", "2"], "--x-max"),
-        (["gate", "--f-a", "inf"], "--f-a"),
-        (["gate", "--f-b", "nan"], "--f-b"),
-        (["gate", "--j-coupling", "nan"], "--j-coupling"),
-        (["gate", "--rabi-over-j", "nan"], "--rabi-over-j"),
-        (["gate", "--rabi-over-j", "inf"], "--rabi-over-j"),
-        (["gate", "--rabi-over-j", "0"], "--rabi-over-j"),
+        (["nmr", "--x", "0"], "--x must be finite and > 0, got 0.0"),
+        (["nmr", "--x", "-1"], "--x must be finite and > 0, got -1.0"),
+        (["nmr", "--x=-inf"], "--x must be finite and > 0, got -inf"),
+        (["transitions", "--x-min", "-1"], "--x-min must be >= 0, got -1.0"),
+        (["transitions", "--x-min", "-1", "--x-max", "-2"], "--x-min must be >= 0, got -1.0"),
+        (["transitions", "--x-min", "3", "--x-max", "2"],
+         "--x-max must exceed --x-min, got 2.0 <= 3.0"),
+        (["transitions", "--x-min", "2", "--x-max", "2"],
+         "--x-max must exceed --x-min, got 2.0 <= 2.0"),
+        (["gate", "--f-a", "inf"], "--f-a must be finite, got inf"),
+        (["gate", "--f-b", "nan"], "--f-b must be finite, got nan"),
+        (["gate", "--j-coupling", "nan"], "--j-coupling must be finite, got nan"),
+        (["gate", "--rabi-over-j", "nan"], "--rabi-over-j must be finite and > 0, got nan"),
+        (["gate", "--rabi-over-j", "inf"], "--rabi-over-j must be finite and > 0, got inf"),
+        (["gate", "--rabi-over-j", "0"], "--rabi-over-j must be finite and > 0, got 0.0"),
     ],
 )
-def test_bad_point_query_flag_exits_1_before_printing(capsys, argv, flag):
+def test_bad_point_query_flag_exits_1_before_printing(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "config error" in captured.err and flag in captured.err
+    assert captured.err == f"config error: {message}\n"
