@@ -165,12 +165,23 @@ def _cmd_nmr(args) -> int:
 
 def _cmd_gate(args) -> int:
     for flag in ("--f-a", "--f-b", "--j-coupling", "--rabi-over-j"):
-        _flag(args, flag, positive=flag == "--rabi-over-j")
+        value = _flag(args, flag, positive=flag == "--rabi-over-j")
+        if flag in ("--f-a", "--f-b") and not value > 0:
+            raise ConfigError(f"{flag} must be > 0, got {value}")
+    try:  # f_a, f_b > 0 hold, so the model can only reject J's range
+        model = TwoQubitModel(f_a=args.f_a, f_b=args.f_b, j_coupling=args.j_coupling)
+    except ValueError as exc:
+        raise ConfigError(f"--j-coupling: {exc}") from None
+    if model.j_coupling == 0:
+        raise ConfigError(
+            f"--j-coupling must be nonzero for a conditional gate, got {model.j_coupling}"
+        )
+    if args.rabi_over_j > 2:
+        raise ConfigError(f"--rabi-over-j must be <= 2, got {args.rabi_over_j}")
     h = hadamard()
     print("Hadamard acts as |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2:")
     print(f"  column 0: ({h[0, 0].real:+.6f}, {h[1, 0].real:+.6f})")
     print(f"  column 1: ({h[0, 1].real:+.6f}, {h[1, 1].real:+.6f})")
-    model = TwoQubitModel(f_a=args.f_a, f_b=args.f_b, j_coupling=args.j_coupling)
     print(f"two-qubit model: f_a={model.f_a} MHz, f_b={model.f_b} MHz, J={model.j_coupling} MHz")
     report = cnot_conditional(model, args.rabi_over_j)
     print(

@@ -2,7 +2,9 @@
 
 Computational basis |0>, |1> is nuclear spin up/down.  Single-qubit gates are
 rotating-frame, rotating-wave-approximation propagators; a resonant pulse of
-duration 1/(2*rabi) is a pi rotation.
+duration 1/(2*rabi) is a pi rotation.  Pulses and rotations are the SU(2)
+closed form numerics.spin_half_propagator, the one evolve uses for 2x2
+Hamiltonians.  Every pulse and model field must be finite.
 
 Two coupled dots are modelled by a static state-dependent resonance shift:
 driving one qubit, its transition sits at f -/+ J when the other qubit is in
@@ -17,21 +19,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateModelError
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+from .numerics import spin_half_propagator
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
 UNITARITY_TOL = 1e-9
+
+
+def _require_finite_fields(obj) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,7 @@ class PulseSpec:
     duration: float = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not self.rabi > 0:
             raise ValueError(f"rabi must be > 0, got {self.rabi}")
         if self.duration < 0:
@@ -62,6 +69,7 @@ class TwoQubitModel:
     j_coupling: float = 0.001
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not (self.f_a > 0 and self.f_b > 0):
             raise ValueError("f_a and f_b must be > 0")
         if abs(self.j_coupling) >= min(self.f_a, self.f_b) / 10.0:
@@ -83,11 +91,13 @@ def rotate_qubit(axis, angle: float) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {n.shape}")
-    if abs(float(np.linalg.norm(n)) - 1.0) > 1e-12:
-        raise ValueError(f"axis must be a unit vector, |axis| = {np.linalg.norm(n)}")
-    half = 0.5 * angle
-    ndots = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * ndots
+    if not abs(float(np.linalg.norm(n)) - 1.0) <= 1e-12:
+        raise ValueError(f"axis must be a finite unit vector, |axis| = {np.linalg.norm(n)}")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
+    nx, ny, nz = n.tolist()
+    # axis . S = [[nz, nx - i ny], [nx + i ny, -nz]] / 2, turned by 2 pi t = angle
+    return spin_half_propagator(0.5 * nz, complex(0.5 * nx, -0.5 * ny), angle / (2.0 * math.pi))
 
 
 def hadamard() -> np.ndarray:
@@ -95,31 +105,19 @@ def hadamard() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-def _rabi_propagator(detuning: float, rabi: float, phase: float, duration: float) -> np.ndarray:
-    """Generalized Rabi precession U = exp(-i 2pi (d Sz + f1 S_phi) t)."""
-    omega = math.hypot(detuning, rabi)
-    theta = 2.0 * math.pi * omega * duration
-    if omega == 0.0 or duration == 0.0:
-        return np.eye(2, dtype=complex)
-    # cos(theta/2) 1 - i sin(theta/2) n.sigma over the unit axis n
-    inv = 1.0 / omega
-    nx, ny, nz = rabi * math.cos(phase) * inv, rabi * math.sin(phase) * inv, detuning * inv
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return np.array([
-        [complex(c, -s * nz), complex(-s * ny, -s * nx)],
-        [complex(s * ny, -s * nx), complex(c, s * nz)],
-    ])
-
-
 def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
     """RWA propagator for a rectangular pulse.
 
     model may be a bare Larmor frequency (float, returns a 2x2 unitary) or a
     TwoQubitModel (returns the 4x4 register unitary over |ab>, with the
-    non-driven qubit selecting the +-J branch of the driven one).
+    non-driven qubit selecting the +-J branch of the driven one).  Each 2x2
+    block is the generalized Rabi precession exp(-i 2pi (d Sz + rabi S_phase) t)
+    at detuning d = f - carrier.
     """
+    # rabi S_phase = [[0, b], [b*, 0]] with b = rabi e^{-i phase} / 2
+    b = cmath.rect(0.5 * pulse.rabi, -pulse.phase)
     if isinstance(model, (int, float)):
-        return _rabi_propagator(float(model) - pulse.carrier, pulse.rabi, pulse.phase, pulse.duration)
+        return spin_half_propagator(0.5 * (float(model) - pulse.carrier), b, pulse.duration)
     if not isinstance(model, TwoQubitModel):
         raise TypeError(f"model must be a frequency or TwoQubitModel, got {type(model)}")
     if target not in (0, 1):
@@ -129,7 +127,7 @@ def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
     branches = []
     for other in (0, 1):  # state of the non-driven qubit
         detuning = (f_target + (2 * other - 1) * model.j_coupling) - pulse.carrier
-        branches.append(_rabi_propagator(detuning, pulse.rabi, pulse.phase, pulse.duration))
+        branches.append(spin_half_propagator(0.5 * detuning, b, pulse.duration))
 
     u = np.zeros((4, 4), dtype=complex)
     if target == 1:
@@ -146,7 +144,7 @@ def _require_unitary(u: np.ndarray, name: str) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{name} must be square, got shape {u.shape}")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"{name} is not unitary: max |U^dag U - 1| = {defect:.3e}")
     return u
 

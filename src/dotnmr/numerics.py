@@ -1,15 +1,22 @@
 """Dense Hermitian eigensolver, unitary propagation and 1-D root bracketing.
 
-All matrices here are small (dim <= 16) complex numpy arrays with entries in
-MHz.  The eigendecomposition is LAPACK's Hermitian solver (numpy.linalg.eigh);
-hermitian_eig then fixes each eigenvector's phase so that its largest-magnitude
-component is real and positive, which makes repeated calls bitwise identical.
-evolve skips that step: a phase on an eigenvector cancels in V exp(-i 2 pi
-lambda t) V^dag.  Kets are plain complex vectors normalized to 1.
+All matrices here are small (dim <= 16) real or complex numpy arrays with
+entries in MHz; a real input stays real.  The eigendecomposition is LAPACK's
+Hermitian solver (numpy.linalg.eigh); hermitian_eig then fixes each
+eigenvector's phase so that its largest-magnitude component is real and
+positive (a sign, for a real matrix), which makes repeated calls bitwise
+identical.  Kets are plain complex vectors normalized to 1.
+
+A spin-1/2 needs no eigensolver: spin_half_propagator is the SU(2) closed
+form exp(-i 2 pi K t) of a traceless 2x2 Hermitian K.  evolve uses it for
+every 2x2 Hamiltonian, and gates builds its RF pulses and rotations from it;
+larger matrices go through eigh, whose eigenvector phases cancel in
+V exp(-i 2 pi lambda t) V^dag.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -32,8 +39,9 @@ class EigenSystem(NamedTuple):
 
 
 def require_hermitian(h) -> np.ndarray:
-    """Validate and return h as a finite square complex array, dim <= 16."""
-    a = np.asarray(h, dtype=complex)
+    """Validate and return h as a finite square float or complex array, dim <= 16."""
+    a = np.asarray(h)
+    a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -56,32 +64,58 @@ def hermitian_eig(h) -> EigenSystem:
 
     Eigenvalues come back ascending; eigenvector columns are orthonormal with
     a fixed phase convention (largest-magnitude component real positive), so
-    repeated calls are bitwise identical.
+    repeated calls are bitwise identical.  A real matrix gets real
+    eigenvectors, whose convention is a sign.
     """
     values, vectors = np.linalg.eigh(require_hermitian(h))
     mags = np.abs(vectors)
     rows = mags.argmax(axis=0)
     cols = np.arange(values.shape[0])
     vectors *= vectors[rows, cols].conj() / mags[rows, cols]
-    vectors.imag[rows, cols] = 0.0  # kill rounding residue in the pivots
+    vectors[rows, cols] = mags[rows, cols]  # no rounding residue in the pivots
     return EigenSystem(values, vectors)
+
+
+def spin_half_propagator(z: float, b: complex, t: float) -> np.ndarray:
+    """exp(-i 2 pi K t) for the traceless Hermitian K = [[z, b], [b*, -z]].
+
+    With r = |K| = sqrt(z^2 + |b|^2) and theta = 2 pi r t this is the SU(2)
+    closed form cos(theta) 1 - i (sin(theta) / r) K; K = 0 gives 1.
+    """
+    r = math.hypot(z, b.real, b.imag)
+    theta = 2.0 * math.pi * r * t
+    c = math.cos(theta)
+    s = math.sin(theta) / r if r else 0.0
+    sb = s * b
+    return np.array([
+        [complex(c, -s * z), complex(sb.imag, -sb.real)],
+        [complex(-sb.imag, -sb.real), complex(c, s * z)],
+    ])
 
 
 def evolve(h, psi, t: float) -> np.ndarray:
     """Propagate psi under a constant Hamiltonian for time t (units 1/MHz).
 
-    psi(t) = V exp(-i 2 pi lambda t) V^dag psi(0); norm-preserving to
-    rounding.  Time-dependent drives are handled by callers slicing time.
-    A phase on any column of V cancels in this product, so the eigenvectors
-    come straight from eigh without hermitian_eig's phase convention.
+    psi(t) = exp(-i 2 pi H t) psi(0); norm-preserving to rounding.
+    Time-dependent drives are handled by callers slicing time.  Like eigh,
+    this reads the lower triangle and the real diagonal of H.  A 2x2 H is
+    its trace phase exp(-i pi (h00 + h11) t) times spin_half_propagator of
+    its traceless part.  Larger H go through V exp(-i 2 pi lambda t) V^dag;
+    a phase on any column of V cancels there, so the eigenvectors come
+    straight from eigh without hermitian_eig's phase convention.
     """
-    values, vectors = np.linalg.eigh(require_hermitian(h))
+    a = require_hermitian(h)
+    n = a.shape[0]
     state = np.asarray(psi, dtype=complex)
-    if state.shape != values.shape:
+    if state.shape != (n,):
         raise ValueError(
-            f"state dimension {state.shape} does not match matrix dimension "
-            f"{values.shape[0]}"
+            f"state dimension {state.shape} does not match matrix dimension {n}"
         )
+    if n == 2:
+        (h00, _), (h10, h11) = a.tolist()
+        u = spin_half_propagator(0.5 * (h00.real - h11.real), h10.conjugate(), t)
+        return cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t) * (u @ state)
+    values, vectors = np.linalg.eigh(a)
     phases = np.exp(-2j * math.pi * values * t)
     return vectors @ (phases * (vectors.conj().T @ state))
 

@@ -62,7 +62,7 @@ class SpinBasisLabel:
 
 @dataclass(frozen=True)
 class SpinMatrix:
-    """Hermitian spin Hamiltonian (MHz) over an explicitly labeled basis."""
+    """Real symmetric spin Hamiltonian (MHz) over an explicitly labeled basis."""
 
     matrix: np.ndarray
     labels: tuple[SpinBasisLabel, ...]
@@ -128,7 +128,7 @@ def build_spin_matrix(
     require_non_negative("b_tesla", b_tesla)
     coupling, i_z, s_z = _spin_operators(s_total)
     h = a_mhz * coupling - cfg.gamma_n * b_tesla * i_z + cfg.gamma_e * b_tesla * s_z
-    return SpinMatrix(matrix=h.astype(complex), labels=spin_basis(s_total))
+    return SpinMatrix(matrix=h, labels=spin_basis(s_total))
 
 
 def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
@@ -158,12 +158,12 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     |Psi> is picked inside the F_z = -1/2 block by maximal overlap with
     |+;1,-1> rather than by eigenvalue order, which stays robust down to
     B -> 0 where the ordering flips.  The stretched state is the eigenvector
-    with the largest weight on |-;1,-1>.
+    with the largest weight on |-;1,-1>.  The matrix is real, so the
+    eigenvectors and both mixing amplitudes are real.
     """
     sm = build_spin_matrix(a_mhz, b_tesla, cfg, s_total=1)
     values, vectors = hermitian_eig(sm.matrix)
-    mags = np.abs(vectors[[_I_FLIP, _I_KEEP, _I_STRETCHED]])
-    weight = mags[:2] ** 2
+    weight = vectors[[_I_FLIP, _I_KEEP, _I_STRETCHED]] ** 2
     cand = np.argsort(weight[0] + weight[1], kind="stable")[-2:].tolist()
     o0, o1 = weight[0, cand].tolist()
     if abs(o0 - o1) <= OVERLAP_DEGENERACY_TOL:
@@ -172,18 +172,14 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
             "cannot select the resonance partner"
         )
     j_psi = cand[0] if o0 > o1 else cand[1]
-    j_low = int(mags[2].argmax())
+    j_low = int(weight[2].argmax())
 
     c1, c2 = vectors[[_I_FLIP, _I_KEEP], j_psi].tolist()
-    # real-symmetric block + fixed phase convention leave both real
-    if max(abs(c1.imag), abs(c2.imag)) > 1e-10:
-        raise DegenerateSelectionError("mixing amplitudes came out complex")
-
     return NmrResult(
         f_nmr=float(values[j_low] - values[j_psi]),
         f_closed=nmr_closed_form(a_mhz, b_tesla, cfg),
-        c1=c1.real,
-        c2=c2.real,
+        c1=c1,
+        c2=c2,
         f0=nuclear_larmor_mhz(cfg, b_tesla),
     )
 

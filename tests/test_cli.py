@@ -139,7 +139,7 @@ def test_exit_code_for_usage_error(capsys):
 
 
 def test_exit_code_for_numerical_failure(capsys):
-    assert main(["gate", "--j-coupling", "0"]) == 2
+    assert main(["nmr", "--x", "1e200"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -190,6 +190,14 @@ def test_sweep_replaces_a_symlink_instead_of_following_it(tmp_path):
         (["gate", "--rabi-over-j", "nan"], "--rabi-over-j must be finite and > 0, got nan"),
         (["gate", "--rabi-over-j", "inf"], "--rabi-over-j must be finite and > 0, got inf"),
         (["gate", "--rabi-over-j", "0"], "--rabi-over-j must be finite and > 0, got 0.0"),
+        (["gate", "--f-a", "-1"], "--f-a must be > 0, got -1.0"),
+        (["gate", "--f-a", "0"], "--f-a must be > 0, got 0.0"),
+        (["gate", "--f-b", "-2"], "--f-b must be > 0, got -2.0"),
+        (["gate", "--j-coupling", "5"],
+         "--j-coupling: |j_coupling|=5.0 must stay below min(f_a, f_b)/10 = 1.7393"),
+        (["gate", "--j-coupling", "0"],
+         "--j-coupling must be nonzero for a conditional gate, got 0.0"),
+        (["gate", "--rabi-over-j", "3"], "--rabi-over-j must be <= 2, got 3.0"),
     ],
 )
 def test_bad_point_query_flag_exits_1_before_printing(capsys, argv, message):

@@ -67,6 +67,32 @@ def test_pulse_spec_validation():
     assert PulseSpec(carrier=1.0, rabi=1.0, duration=0.0).duration == 0.0
 
 
+@pytest.mark.parametrize("field", ["carrier", "rabi", "phase", "duration"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pulse_spec_rejects_non_finite_fields_by_name(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+        PulseSpec(**{"carrier": 1.0, "rabi": 1.0, "duration": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("field", ["f_a", "f_b", "j_coupling"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_two_qubit_model_rejects_non_finite_fields_by_name(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+        TwoQubitModel(**{"f_a": 15.0, "f_b": 12.0, "j_coupling": 0.001, field: bad})
+
+
+def test_rotate_qubit_rejects_non_finite_axis_and_angle():
+    with pytest.raises(ValueError, match="axis must be a finite unit vector"):
+        rotate_qubit((math.nan, 0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        rotate_qubit((1.0, 0.0, 0.0), math.nan)
+
+
+def test_gate_fidelity_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="u_actual is not unitary"):
+        gate_fidelity(np.full((2, 2), math.nan), np.eye(2))
+
+
 def test_two_qubit_model_validation():
     with pytest.raises(ValueError):
         TwoQubitModel(f_a=-1.0, f_b=1.0)

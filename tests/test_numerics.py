@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dotnmr import (
@@ -135,6 +137,65 @@ def test_evolve_matches_matrix_exponential():
         for t in (1e-3, 0.37, 4.1):
             want = expm(-2j * math.pi * t * h) @ psi
             assert np.max(np.abs(evolve(h, psi, t) - want)) <= 1e-12
+
+
+def _entry(draw, kind):
+    """0, or a value of magnitude in [1e-3, 1e3] with either sign (kind complex or float)."""
+    def part():
+        if draw(st.booleans()):
+            return 0.0
+        return draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return complex(part(), part()) if kind is complex else part()
+
+
+@st.composite
+def spin_half_cases(draw):
+    shape = draw(st.sampled_from(("full", "diagonal", "off-diagonal", "zero")))
+    h = np.zeros((2, 2), dtype=complex)
+    if shape in ("full", "diagonal"):
+        h[0, 0], h[1, 1] = _entry(draw, float), _entry(draw, float)
+    if shape in ("full", "off-diagonal"):
+        h[1, 0] = _entry(draw, complex)
+        h[0, 1] = h[1, 0].conjugate()
+    norm = max(float(np.linalg.norm(h, 2)), 1.0)
+    t = draw(st.floats(0.0, 10.0)) / norm  # ||H|| t <= 10
+    angles = draw(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)))
+    psi = np.array([math.cos(angles[0]), math.sin(angles[0]) * np.exp(1j * angles[1])])
+    return h, psi, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(spin_half_cases())
+def test_evolve_2x2_closed_form_matches_matrix_exponential(case):
+    # independent route: scipy's Pade expm, no eigendecomposition or SU(2) formula
+    h, psi, t = case
+    want = expm(-2j * math.pi * t * h) @ psi
+    assert np.max(np.abs(evolve(h, psi, t) - want)) <= 1e-12
+
+
+def test_evolve_2x2_rejects_non_hermitian():
+    with pytest.raises(NonHermitianError):
+        evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0], dtype=complex), 1.0)
+
+
+def test_evolve_2x2_reads_the_lower_triangle_as_eigh_does():
+    # the 1e-14 upper-triangle mismatch is within tolerance; like eigh, evolve
+    # must read only the lower triangle, so reading h01 instead shows as ~6e-14
+    h = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]])
+    psi = np.array([1.0, 0.0], dtype=complex)
+    w, v = np.linalg.eigh(h)
+    want = v @ (np.exp(-2j * math.pi * w * 1.0) * (v.conj().T @ psi))
+    assert np.max(np.abs(evolve(h, psi, 1.0) - want)) <= 5e-15
+
+
+def test_hermitian_eig_keeps_a_real_matrix_real():
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(6, 6))
+    es = hermitian_eig(m + m.T)
+    assert es.vectors.dtype == np.float64
+    assert np.max(np.abs(es.vectors @ np.diag(es.values) @ es.vectors.T - (m + m.T))) <= 1e-12
+    pivots = es.vectors[np.abs(es.vectors).argmax(axis=0), np.arange(6)]
+    assert np.all(pivots > 0.0)
 
 
 def test_evolve_dimension_mismatch():
