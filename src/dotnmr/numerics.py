@@ -8,10 +8,12 @@ positive (a sign, for a real matrix), which makes repeated calls bitwise
 identical.  Kets are plain complex vectors normalized to 1.
 
 A spin-1/2 needs no eigensolver: spin_half_propagator is the SU(2) closed
-form exp(-i 2 pi K t) of a traceless 2x2 Hermitian K.  evolve uses it for
-every 2x2 Hamiltonian, and gates builds its RF pulses and rotations from it;
-larger matrices go through eigh, whose eigenvector phases cancel in
-V exp(-i 2 pi lambda t) V^dag.
+form exp(-i 2 pi K t) of a traceless 2x2 Hermitian K, and gates builds its
+RF pulses and rotations from it.  evolve checks and steps a 2x2 H on its
+four entries as Python numbers, by require_hermitian's rule and with its
+errors, since numpy's fixed cost per call would outweigh the arithmetic;
+larger matrices go through require_hermitian and eigh, whose eigenvector
+phases cancel in V exp(-i 2 pi lambda t) V^dag.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
-def require_hermitian(h) -> np.ndarray:
-    """Validate and return h as a finite square float or complex array, dim <= 16."""
+def _square(h) -> np.ndarray:
+    """h as a float or complex array, checked square with dim in [1, MAX_DIM]."""
     a = np.asarray(h)
     a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -47,16 +49,53 @@ def require_hermitian(h) -> np.ndarray:
     n = a.shape[0]
     if n < 1 or n > MAX_DIM:
         raise ValueError(f"matrix dimension must be in [1, {MAX_DIM}], got {n}")
-    scale = float(np.abs(a).max())
+    return a
+
+
+def _check_hermitian(scale: float, mismatch: float) -> None:
+    """Raise unless scale = max|H| is finite and mismatch = max|H - H^dag| is in tolerance.
+
+    The array and the 2x2 scalar check both end here, so they fail alike.
+    """
     if not math.isfinite(scale):  # a NaN or inf entry makes the max NaN or inf
         raise ValueError("matrix has non-finite entries")
-    mismatch = float(np.abs(a - a.conj().T).max())
     if mismatch > HERMITICITY_TOL * max(scale, 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian: max |H - H^dag| = {mismatch:.3e} "
             f"exceeds {HERMITICITY_TOL:.0e} * max|H| = {HERMITICITY_TOL * scale:.3e}"
         )
+
+
+def require_hermitian(h) -> np.ndarray:
+    """Validate and return h as a finite square float or complex array, dim <= 16."""
+    a = _square(h)
+    scale = float(np.abs(a).max())
+    # a real matrix needs no conj; a non-finite one is not subtracted (inf - inf warns)
+    mismatch = (
+        float(np.abs(a - (a.conj().T if a.dtype.kind == "c" else a.T)).max())
+        if math.isfinite(scale) else math.nan
+    )
+    _check_hermitian(scale, mismatch)
     return a
+
+
+def _check_hermitian_2x2(h00, h01, h10, h11) -> None:
+    """require_hermitian's rule on the four entries of a 2x2, as Python numbers.
+
+    max|H - H^dag| is the larger of 2|Im h00|, 2|Im h11| and |h01 - conj(h10)|.
+    """
+    try:
+        mags = (abs(h00), abs(h01), abs(h10), abs(h11))
+    except OverflowError:  # Python's complex abs raises where numpy's gives inf
+        mags = (math.inf,)
+    total = sum(mags)  # NaN exactly when numpy's max of the magnitudes is NaN
+    try:
+        mismatch = max(
+            2.0 * abs(h00.imag), 2.0 * abs(h11.imag), abs(h01 - h10.conjugate())
+        )
+    except OverflowError:
+        mismatch = math.inf
+    _check_hermitian(total if total != total else max(mags), mismatch)
 
 
 def hermitian_eig(h) -> EigenSystem:
@@ -68,53 +107,75 @@ def hermitian_eig(h) -> EigenSystem:
     eigenvectors, whose convention is a sign.
     """
     values, vectors = np.linalg.eigh(require_hermitian(h))
-    mags = np.abs(vectors)
-    rows = mags.argmax(axis=0)
+    rows = np.abs(vectors).argmax(axis=0)
     cols = np.arange(values.shape[0])
-    vectors *= vectors[rows, cols].conj() / mags[rows, cols]
-    vectors[rows, cols] = mags[rows, cols]  # no rounding residue in the pivots
+    pivots = vectors[rows, cols]
+    mags = np.abs(pivots)
+    vectors *= pivots.conj() / mags
+    vectors[rows, cols] = mags  # no rounding residue in the pivots
     return EigenSystem(values, vectors)
+
+
+def _spin_half_entries(z: float, b: complex, t: float) -> tuple[complex, ...]:
+    """(u00, u01, u10, u11) of spin_half_propagator(z, b, t), as Python complexes."""
+    r = math.hypot(z, b.real, b.imag)
+    theta = 2.0 * math.pi * r * t
+    c = math.cos(theta)
+    s = math.sin(theta) / r if r else 0.0
+    sb = s * b
+    return (complex(c, -s * z), complex(sb.imag, -sb.real),
+            complex(-sb.imag, -sb.real), complex(c, s * z))
 
 
 def spin_half_propagator(z: float, b: complex, t: float) -> np.ndarray:
     """exp(-i 2 pi K t) for the traceless Hermitian K = [[z, b], [b*, -z]].
 
     With r = |K| = sqrt(z^2 + |b|^2) and theta = 2 pi r t this is the SU(2)
-    closed form cos(theta) 1 - i (sin(theta) / r) K; K = 0 gives 1.
+    closed form cos(theta) 1 - i (sin(theta) / r) K; K = 0 gives 1.  z, b and
+    t must be finite; its callers validate them.
     """
-    r = math.hypot(z, b.real, b.imag)
-    theta = 2.0 * math.pi * r * t
-    c = math.cos(theta)
-    s = math.sin(theta) / r if r else 0.0
-    sb = s * b
-    return np.array([
-        [complex(c, -s * z), complex(sb.imag, -sb.real)],
-        [complex(-sb.imag, -sb.real), complex(c, s * z)],
-    ])
+    u00, u01, u10, u11 = _spin_half_entries(z, b, t)
+    return np.array([[u00, u01], [u10, u11]])
 
 
 def evolve(h, psi, t: float) -> np.ndarray:
     """Propagate psi under a constant Hamiltonian for time t (units 1/MHz).
 
     psi(t) = exp(-i 2 pi H t) psi(0); norm-preserving to rounding.
-    Time-dependent drives are handled by callers slicing time.  Like eigh,
-    this reads the lower triangle and the real diagonal of H.  A 2x2 H is
-    its trace phase exp(-i pi (h00 + h11) t) times spin_half_propagator of
-    its traceless part.  Larger H go through V exp(-i 2 pi lambda t) V^dag;
-    a phase on any column of V cancels there, so the eigenvectors come
-    straight from eigh without hermitian_eig's phase convention.
+    Time-dependent drives are handled by callers slicing time.  Before any
+    work, H must pass require_hermitian's rule and psi and t be finite.
+    Like eigh, this reads the lower triangle and the real diagonal of H.  A
+    2x2 H is checked and propagated on its four entries as Python numbers:
+    its trace phase exp(-i pi (h00 + h11) t) times the spin_half_propagator
+    entries of its traceless part.  Larger H go through
+    V exp(-i 2 pi lambda t) V^dag; a phase on any column of V cancels there,
+    so the eigenvectors come straight from eigh without hermitian_eig's
+    phase convention.
     """
-    a = require_hermitian(h)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    a = _square(h)
     n = a.shape[0]
+    if n == 2:
+        (h00, h01), (h10, h11) = a.tolist()
+        _check_hermitian_2x2(h00, h01, h10, h11)
+    else:
+        require_hermitian(a)
     state = np.asarray(psi, dtype=complex)
     if state.shape != (n,):
         raise ValueError(
             f"state dimension {state.shape} does not match matrix dimension {n}"
         )
+    amps = state.tolist()
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError("psi has non-finite entries")
     if n == 2:
-        (h00, _), (h10, h11) = a.tolist()
-        u = spin_half_propagator(0.5 * (h00.real - h11.real), h10.conjugate(), t)
-        return cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t) * (u @ state)
+        p0, p1 = amps
+        u00, u01, u10, u11 = _spin_half_entries(
+            0.5 * (h00.real - h11.real), h10.conjugate(), t
+        )
+        phase = cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t)
+        return np.array([phase * (u00 * p0 + u01 * p1), phase * (u10 * p0 + u11 * p1)])
     values, vectors = np.linalg.eigh(a)
     phases = np.exp(-2j * math.pi * values * t)
     return vectors @ (phases * (vectors.conj().T @ state))

@@ -159,22 +159,28 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     |+;1,-1> rather than by eigenvalue order, which stays robust down to
     B -> 0 where the ordering flips.  The stretched state is the eigenvector
     with the largest weight on |-;1,-1>.  The matrix is real, so the
-    eigenvectors and both mixing amplitudes are real.
+    eigenvectors and both mixing amplitudes are real.  The selection runs on
+    Python floats: the F_z = -1/2 pair is the last two of a stable sort by
+    weight on |+;1,-1> and |-;1,0>, and ties for the stretched state go to
+    the first eigenvector.
     """
     sm = build_spin_matrix(a_mhz, b_tesla, cfg, s_total=1)
     values, vectors = hermitian_eig(sm.matrix)
-    weight = vectors[[_I_FLIP, _I_KEEP, _I_STRETCHED]] ** 2
-    cand = np.argsort(weight[0] + weight[1], kind="stable")[-2:].tolist()
-    o0, o1 = weight[0, cand].tolist()
-    if abs(o0 - o1) <= OVERLAP_DEGENERACY_TOL:
+    rows = vectors.tolist()
+    flip, keep, stretched = rows[_I_FLIP], rows[_I_KEEP], rows[_I_STRETCHED]
+    pair = [f * f + k * k for f, k in zip(flip, keep)]
+    i, j = sorted(range(len(pair)), key=pair.__getitem__)[-2:]
+    o_i, o_j = flip[i] * flip[i], flip[j] * flip[j]
+    if abs(o_i - o_j) <= OVERLAP_DEGENERACY_TOL:
         raise DegenerateSelectionError(
             "the two F_z = -1/2 eigenstates have equal overlap with |+;1,-1>; "
             "cannot select the resonance partner"
         )
-    j_psi = cand[0] if o0 > o1 else cand[1]
-    j_low = int(weight[2].argmax())
+    j_psi = i if o_i > o_j else j
+    low = [v * v for v in stretched]
+    j_low = low.index(max(low))
 
-    c1, c2 = vectors[[_I_FLIP, _I_KEEP], j_psi].tolist()
+    c1, c2 = flip[j_psi], keep[j_psi]
     return NmrResult(
         f_nmr=float(values[j_low] - values[j_psi]),
         f_closed=nmr_closed_form(a_mhz, b_tesla, cfg),

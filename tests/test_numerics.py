@@ -12,6 +12,7 @@ from dotnmr import (
     evolve,
     hermitian_eig,
 )
+from dotnmr.numerics import require_hermitian
 from dotnmr.spectrum import mu_m
 
 
@@ -71,6 +72,34 @@ def test_phase_convention_and_determinism():
         assert pivot.real > 0.0
 
 
+def _error(f, *args):
+    try:
+        f(*args)
+    except Exception as e:  # any error: its type and message are what is compared
+        return type(e), str(e)
+    return None
+
+
+# max|H| = 2 in the mismatch cases, so the tolerance on max|H - H^dag| is 2e-12
+_OVER, _UNDER = 2.5e-12, 1.5e-12
+_BAD_2X2 = [
+    (np.full((2, 2), np.nan), ValueError),
+    (np.full((2, 2), np.inf), ValueError),
+    (np.full((2, 2), -np.inf), ValueError),
+    (np.full((2, 2), complex(np.inf, np.nan)), ValueError),
+    (np.array([[1.0, np.nan], [0.5, 2.0]]), ValueError),
+    (np.array([[1.0, 0.5], [complex(0.5, np.inf), 2.0]]), ValueError),
+    (np.array([[1.0, 0.5 + _OVER], [0.5, 2.0]]), NonHermitianError),
+    (np.array([[1.0, 0.5 + _UNDER], [0.5, 2.0]]), None),
+    (np.array([[1.0, 0.5 + _OVER * 1j], [0.5, 2.0]]), NonHermitianError),
+    (np.array([[1.0, 0.5 + _UNDER * 1j], [0.5, 2.0]]), None),
+    (np.array([[1.0, 0.5], [0.5 + _OVER * 1j, 2.0]]), NonHermitianError),
+    (np.array([[1.0 + 0.5 * _OVER * 1j, 0.5], [0.5, 2.0]]), NonHermitianError),
+    (np.array([[1.0, 0.5], [0.5, 2.0 + 0.5 * _UNDER * 1j]]), None),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), NonHermitianError),
+]
+
+
 def test_rejects_non_hermitian_and_bad_shapes():
     with pytest.raises(NonHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -83,6 +112,42 @@ def test_rejects_non_hermitian_and_bad_shapes():
             hermitian_eig(np.full((2, 2), bad))
         with pytest.raises(ValueError, match="non-finite"):
             evolve(np.full((2, 2), bad), np.array([1.0, 0.0], dtype=complex), 1.0)
+    with pytest.raises(ValueError, match=r"state dimension \(3,\) does not match matrix dim"):
+        evolve(np.eye(2), np.array([1.0, 0.0, 0.0], dtype=complex), 1.0)
+    # evolve checks a 2x2 on its scalar entries, the others on the array; both
+    # must fail with the same type and message
+    psi = np.array([0.6, 0.8j])
+    for h, kind in _BAD_2X2:
+        want = _error(require_hermitian, h)
+        assert (want and want[0]) is kind
+        assert _error(evolve, h, psi, 0.3) == want
+        if want is None:
+            # within tolerance, only the lower triangle and the real diagonal are read
+            lower = np.tril(h, -1)
+            exact = lower + lower.conj().T + np.diag(np.diag(h).real)
+            assert np.array_equal(evolve(h, psi, 0.3), evolve(exact, psi, 0.3))
+
+
+def test_evolve_rejects_non_finite_time_and_state():
+    h2 = np.array([[1.0, 0.5], [0.5, -1.0]])
+    h4 = np.diag([1.0, 2.0, 3.0, 4.0])
+    for h in (h2, h4):
+        psi = np.zeros(len(h), dtype=complex)
+        psi[0] = 1.0
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                evolve(h, psi, t)
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            state = psi.copy()
+            state[-1] = bad
+            with pytest.raises(ValueError, match="psi has non-finite entries"):
+                evolve(h, state, 0.1)
+
+
+def test_evolve_takes_integer_lists():
+    # exp(-i 2 pi (1/4) sigma_x) = -i sigma_x
+    out = evolve([[0, 1], [1, 0]], [1, 0], 0.25)
+    assert np.max(np.abs(out - np.array([0.0, -1j]))) <= 1e-15
 
 
 def test_tiny_hermiticity_violation_tolerated():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dotnmr import (
     DotConfig,
     SpinBasisLabel,
     build_spin_matrix,
+    hermitian_eig,
     nmr_closed_form,
     nmr_numeric,
     relative_shift,
@@ -210,3 +212,55 @@ def test_build_matrix_rejects_nan_inputs_by_name(default_cfg):
         build_spin_matrix(1.0, math.nan, default_cfg, 0)
     with pytest.raises(ValueError, match="a_mhz"):
         nmr_numeric(math.nan, 1.0, default_cfg)
+
+
+# rows of |+;1,-1>, |-;1,0> and |-;1,-1> in the triplet basis
+_ROWS = [spin_basis(1).index(SpinBasisLabel(*lb))
+         for lb in ((0.5, 1, -1), (-0.5, 1, 0), (-0.5, 1, -1))]
+
+
+def _reference_selection(values, vectors):
+    """(f_nmr, c1, c2) as nmr_numeric picks them, by numpy; None if the pair is degenerate.
+
+    The pair is the last two of a stable argsort of the weight on |+;1,-1> and
+    |-;1,0>, the stretched state the first argmax of the weight on |-;1,-1>.
+    """
+    weight = vectors[_ROWS] ** 2
+    cand = np.argsort(weight[0] + weight[1], kind="stable")[-2:]
+    o0, o1 = weight[0, cand]
+    if abs(o0 - o1) <= 1e-12:
+        return None
+    j_psi = cand[0] if o0 > o1 else cand[1]
+    j_low = int(weight[2].argmax())
+    c1, c2 = vectors[_ROWS[:2], j_psi]
+    return float(values[j_low] - values[j_psi]), c1, c2
+
+
+def _selection(a, b, cfg):
+    try:
+        res = nmr_numeric(a, b, cfg)
+    except DegenerateSelectionError:
+        return None
+    return res.f_nmr, res.c1, res.c2
+
+
+_FIELD = st.one_of(st.just(0.0), st.floats(1e-4, 1e2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_FIELD, b=_FIELD)
+def test_nmr_selection_matches_stable_argsort_reference(default_cfg, a, b):
+    es = hermitian_eig(build_spin_matrix(a, b, default_cfg, 1).matrix)
+    assert _selection(a, b, default_cfg) == _reference_selection(*es)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 0.5, -0.5, 1.0)), min_size=18, max_size=18))
+def test_nmr_selection_tie_rules(default_cfg, entries):
+    # eigenvectors with many equal weights: the tie rules decide the selection
+    vectors = np.zeros((6, 6))
+    vectors[_ROWS] = np.reshape(entries, (3, 6))
+    values = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])  # each difference names its pair
+    with mock.patch("dotnmr.spin_hamiltonian.hermitian_eig", return_value=(values, vectors)):
+        got = _selection(1.0, 1.0, default_cfg)
+    assert got == _reference_selection(values, vectors)
