@@ -11,8 +11,9 @@ driving one qubit, its transition sits at f -/+ J when the other qubit is in
 |0>/|1>.  J is a free model parameter (default 1 kHz); the microscopic
 inter-dot mechanism is deliberately not modelled here.  A selective pi pulse
 at the control-|1> branch frequency realizes CNOT; the deterministic local
-phases it accrues are removed by optimizing single-qubit Z corrections
-before the fidelity is reported.
+phases it accrues are removed by the best single-qubit Z corrections, whose
+overlap with CNOT is a closed form in two entries of the pulse, before the
+fidelity is reported.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class TwoQubitModel:
 class GateReport:
     fidelity: float
     residual_offresonant_population: float
-    corrected: bool
 
 
 def rotate_qubit(axis, angle: float) -> np.ndarray:
@@ -117,6 +117,8 @@ def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
     # rabi S_phase = [[0, b], [b*, 0]] with b = rabi e^{-i phase} / 2
     b = cmath.rect(0.5 * pulse.rabi, -pulse.phase)
     if isinstance(model, (int, float)):
+        if not math.isfinite(model):
+            raise ValueError(f"model frequency must be finite, got {model}")
         return spin_half_propagator(0.5 * (float(model) - pulse.carrier), b, pulse.duration)
     if not isinstance(model, TwoQubitModel):
         raise TypeError(f"model must be a frequency or TwoQubitModel, got {type(model)}")
@@ -160,56 +162,18 @@ def gate_fidelity(u_actual, u_ideal) -> float:
     return float((overlap + d) / (d * d + d))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
-def _optimized_overlap(u: np.ndarray, ideal: np.ndarray) -> float:
-    """max over local Z phases of |Tr(ideal^dag (Rz x Rz) u)|^2.
-
-    Since Rz x Rz is diagonal the trace reduces to four phased diagonal
-    entries m of u @ ideal^dag: e^{-i a/2} P(b) + e^{i a/2} Q(b), with
-    P(b) = e^{-i b/2} m0 + e^{i b/2} m1 and Q(b) likewise from m2, m3.  Its
-    maximum over a is exactly |P| + |Q| = |m0 + e^{i b} m1| + |m2 + e^{i b} m3|,
-    which has period 2 pi in b; a 256-point grid over b is refined by golden
-    section, which evaluates the same expression on Python complex scalars.
-    """
-    m0, m1, m2, m3 = np.diag(u @ ideal.conj().T).tolist()
-
-    def overlap(phase):  # phase = e^{i b}, a complex or an array of them
-        return (abs(m0 + phase * m1) + abs(m2 + phase * m3)) ** 2
-
-    step = 2.0 * math.pi / 256
-    grid = np.arange(256) * step
-    beta = float(grid[int(np.argmax(overlap(np.exp(1j * grid))))])
-
-    def overlap_at(b):
-        return overlap(cmath.exp(1j * b))
-
-    return overlap_at(_golden_max(overlap_at, beta - step, beta + step))
-
-
-def cnot_conditional(
-    model: TwoQubitModel, rabi_over_j: float, optimize_phases: bool = True
-) -> GateReport:
-    """Selective pi pulse at the control-|1> branch of qubit b.
+def cnot_conditional(model: TwoQubitModel, rabi_over_j: float) -> GateReport:
+    """Selective pi pulse at the control-|1> branch of qubit b, Z-corrected.
 
     rabi_over_j sets the selectivity: the spectator branch is detuned by 2J,
     so its residual excitation is bounded by rabi^2 / (rabi^2 + 4 J^2).
+
+    The fidelity is taken after the best local correction Rz(alpha) x
+    Rz(beta), which has a closed form.  Each block of the pulse U is SU(2)
+    (u11 = u00*, u10 = -u01*), so with a = U[0,0] and b = U[2,3] the diagonal
+    of U CNOT^dag is (a, a*, b, -b*).  Over the phases |Tr(CNOT^dag Z U)|
+    peaks at 2 max|a -/+ i b| = 2 sqrt(|a|^2 + |b|^2 + 2 |Im(a b*)|).  The
+    uncorrected fidelity is gate_fidelity(rwa_pulse(model, pulse, 1), CNOT).
     """
     if model.j_coupling == 0.0:
         raise DegenerateModelError(
@@ -227,14 +191,9 @@ def cnot_conditional(
     )
     u = rwa_pulse(model, pulse, target=1)
     residual = float(max(abs(u[0, 1]) ** 2, abs(u[1, 0]) ** 2))
-
-    if optimize_phases:
-        overlap = _optimized_overlap(u, CNOT)
-        fidelity = float((overlap + 4.0) / 20.0)
-    else:
-        fidelity = gate_fidelity(u, CNOT)
+    a, b = complex(u[0, 0]), complex(u[2, 3])
+    overlap = 4.0 * max(abs(a + 1j * b), abs(a - 1j * b)) ** 2
     return GateReport(
-        fidelity=fidelity,
+        fidelity=(overlap + 4.0) / 20.0,
         residual_offresonant_population=residual,
-        corrected=optimize_phases,
     )

@@ -154,13 +154,13 @@ def evolve(h, psi, t: float) -> np.ndarray:
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    a = _square(h)
-    n = a.shape[0]
-    if n == 2:
+    if np.shape(h) == (2, 2):
+        a = _square(h)
         (h00, h01), (h10, h11) = a.tolist()
         _check_hermitian_2x2(h00, h01, h10, h11)
     else:
-        require_hermitian(a)
+        a = require_hermitian(h)
+    n = a.shape[0]
     state = np.asarray(psi, dtype=complex)
     if state.shape != (n,):
         raise ValueError(

@@ -17,7 +17,6 @@ from dotnmr import (
     rotate_qubit,
     rwa_pulse,
 )
-from dotnmr.gates import _optimized_overlap
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -118,6 +117,14 @@ def test_detuned_branch_excitation_bound():
     assert abs(u[1, 0]) ** 2 <= bound + 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rwa_pulse_rejects_non_finite_frequency(bad):
+    pulse = PulseSpec(carrier=10.0, rabi=0.02, duration=25.0)
+    with pytest.raises(ValueError, match="^model frequency must be finite, got"):
+        rwa_pulse(bad, pulse)
+    assert unitarity_defect(rwa_pulse(-10.0, pulse)) <= 1e-12  # negative frequencies stay valid
+
+
 def test_zero_duration_pulse_is_identity():
     pulse = PulseSpec(carrier=9.0, rabi=1.0, duration=0.0)
     assert np.array_equal(rwa_pulse(10.0, pulse), np.eye(2, dtype=complex))
@@ -215,7 +222,6 @@ def test_cnot_high_selectivity():
     report = cnot_conditional(model, 1.0 / 20.0)
     assert report.fidelity >= 0.99
     assert report.fidelity <= 1.0 + 1e-12
-    assert report.corrected
     bound = (1.0 / 20.0) ** 2 / ((1.0 / 20.0) ** 2 + 4.0)
     assert report.residual_offresonant_population <= bound + 1e-12
 
@@ -245,33 +251,41 @@ def test_cnot_rejects_bad_ratio():
         cnot_conditional(model, 2.5)
 
 
-def test_cnot_phase_optimization_helps():
+def selective_pi(model, rabi_over_j):
+    """The pulse cnot_conditional applies: a pi pulse on the control-|1> branch of qubit b."""
+    rabi = rabi_over_j * abs(model.j_coupling)
+    return PulseSpec(carrier=model.f_b + model.j_coupling, rabi=rabi, duration=1.0 / (2.0 * rabi))
+
+
+def test_cnot_phase_correction_never_lowers_fidelity():
     model = TwoQubitModel(f_a=17.393, f_b=17.393, j_coupling=0.001)
-    raw = cnot_conditional(model, 1 / 20, optimize_phases=False)
-    opt = cnot_conditional(model, 1 / 20)
-    assert opt.fidelity >= raw.fidelity - 1e-12
-    assert not raw.corrected
+    for ratio in (2.0, 1.37, 1 / 5, 1 / 20):
+        raw = gate_fidelity(rwa_pulse(model, selective_pi(model, ratio), 1), CNOT)
+        assert cnot_conditional(model, ratio).fidelity >= raw - 1e-12
 
 
-def test_optimized_overlap_matches_brute_force_mesh():
+def test_cnot_conditional_matches_brute_force_mesh():
     # independent route: |Tr(CNOT^dag (Rz(a) x Rz(b)) u)|^2 on a dense (a, b)
     # mesh, its best point polished by Nelder-Mead on the full matrix product
     rng = np.random.default_rng(5)
     rz = np.array([rotate_qubit((0.0, 0.0, 1.0), t) for t in np.linspace(0, 2 * math.pi, 128)])
     zz = np.einsum("aij,bkl->abikjl", rz, rz).reshape(128, 128, 4, 4)
 
-    def fidelity_at(u, ab):
+    def overlap_at(u, ab):
         z = np.kron(rotate_qubit((0.0, 0.0, 1.0), ab[0]), rotate_qubit((0.0, 0.0, 1.0), ab[1]))
         return abs(np.trace(CNOT.conj().T @ z @ u)) ** 2
 
-    for _ in range(20):
-        q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+    for k in range(24):
+        f_a, f_b = rng.uniform(5.0, 50.0, 2)
+        j = (-1) ** k * rng.uniform(1e-4, 0.05)
+        ratio = 2.0 - rng.uniform(0.0, 2.0)  # in (0, 2]
+        model = TwoQubitModel(f_a=f_a, f_b=f_b, j_coupling=j)
+        u = rwa_pulse(model, selective_pi(model, ratio), 1)
         mesh = np.abs(np.einsum("ij,abjk,ki->ab", CNOT.conj().T, zz, u)) ** 2
         a, b = np.unravel_index(np.argmax(mesh), mesh.shape)
         start = np.linspace(0, 2 * math.pi, 128)[[a, b]]
-        best = minimize(lambda ab: -fidelity_at(u, ab), start, method="Nelder-Mead",
+        best = minimize(lambda ab: -overlap_at(u, ab), start, method="Nelder-Mead",
                         options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 4000})
-        got = _optimized_overlap(u, CNOT)
+        got = 20.0 * cnot_conditional(model, ratio).fidelity - 4.0
         assert got >= mesh.max() - 1e-12
         assert abs(got + best.fun) <= 1e-9
