@@ -38,6 +38,14 @@ def _word(text: str) -> int:
     return int.from_bytes(text.encode("ascii"), "little")
 
 
+# row k: the bytes f2_point_runs keeps of a coordinate with k + 1 integer digits
+_F2_MASKS = np.arange(12) >= 7 - np.arange(5)[:, None]
+# ".", two decimals and the separator as one word: cents 0-99 after ",", then after " "
+_F2_TAILS = np.array([_word(f".{c:02d}{sep}") for sep in ", " for c in range(100)], dtype="<u4")
+for _table in (_POW10, _F2_MASKS, _F2_TAILS):
+    _table.flags.writeable = False
+
+
 @functools.cache
 def _tables():
     """Read-only lookup tables: 4-digit words, trailing-zero counts, exponent words, masks."""
@@ -166,24 +174,25 @@ def g9_rows(columns: Sequence[np.ndarray], row_format: str) -> Iterator[bytes]:
         yield packed[done:].tobytes()
 
 
-def f2_point_runs(u: np.ndarray, v: np.ndarray, bounds: Sequence[int]) -> list[str]:
-    """" ".join(f"{a:.2f},{b:.2f}") over the points of each run [bounds[j], bounds[j + 1]).
+def f2_point_runs(u: np.ndarray, v: np.ndarray, bounds: Sequence[int]) -> list[bytes]:
+    """ASCII " ".join(f"{a:.2f},{b:.2f}") over each run of points [bounds[j], bounds[j + 1]).
 
     Coordinates must lie in [0, 1e4): D = u * 100 rounded half to even is
     exact there, and the text is its integer digits, "." and two decimals.
     """
     uv = np.stack([u, v], axis=1).astype(float, copy=False)
     quad = _tables()[0]
-    d = _round_product(uv.ravel(), 100.0).astype(np.int64).reshape(uv.shape)
+    d = _round_product(uv.ravel(), 100.0).astype(np.int32).reshape(uv.shape)
     whole, cents = np.divmod(d, 100)
-    width = 1 + (whole >= 10) + (whole >= 100) + (whole >= 1000) + (whole >= 10000)
+    digits = (whole >= 10).astype(np.int8) + (whole >= 100) + (whole >= 1000) + (whole >= 10000)
     # bytes: 3 "1" of 10000, 4-7 the last four integer digits, 8 ".", 9-10 cents, 11 separator
     words = np.empty(uv.shape + (3,), dtype="<u4")
     words[..., 0] = _word("   1")
-    words[..., 1] = quad[whole % 10000]
-    seps = np.array([_word(".\0\0,"), _word(".\0\0 ")], dtype="<u4")
-    words[..., 2] = (quad[cents] >> 8) & 0x00FFFF00 | seps  # ".", the two decimals, separator
-    mask = np.arange(12) >= 8 - width[..., None]
-    packed = words.view(np.uint8)[mask].tobytes().decode("ascii")
-    ends = np.concatenate([[0], np.cumsum(width.sum(axis=1) + 8)]).tolist()
-    return [packed[ends[lo]:ends[hi]][:-1] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    words[..., 1] = quad.take(whole, mode="wrap")  # 10000 wraps to "0000"
+    words[..., 2] = _F2_TAILS.take(cents + [0, 100])  # ".", two decimals, separator
+    packed = memoryview(words.view(np.uint8)[_F2_MASKS.take(digits, axis=0)])
+    # a point takes 10 bytes plus its integer digits beyond the first; offsets only at the bounds
+    ends = np.zeros(len(d) + 1, dtype=np.intp)
+    np.cumsum(digits[:, 0] + digits[:, 1] + 10, dtype=np.intp, out=ends[1:])
+    starts = ends[np.asarray(bounds)].tolist()
+    return [packed[lo:hi][:-1].tobytes() for lo, hi in zip(starts[:-1], starts[1:])]

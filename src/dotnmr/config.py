@@ -107,9 +107,11 @@ def validate_config(cfg: DotConfig) -> DotConfig:
 def require_non_negative(name: str, value) -> None:
     """Raise ValueError unless value (a number or an array) is >= 0 throughout; NaN fails.
 
-    A Python scalar is compared directly, since np.all costs microseconds per call.
+    A Python scalar is compared directly, since numpy costs microseconds per call; an
+    array's minimum is NaN if any entry is.
     """
-    if not (value >= 0 if isinstance(value, (int, float)) else np.all(value >= 0)):
+    if not (value >= 0 if isinstance(value, (int, float))
+            else np.asarray(value).min(initial=0) >= 0):
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 

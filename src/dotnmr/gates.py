@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -108,20 +109,21 @@ def hadamard() -> np.ndarray:
 def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
     """RWA propagator for a rectangular pulse.
 
-    model may be a bare Larmor frequency (float, returns a 2x2 unitary) or a
-    TwoQubitModel (returns the 4x4 register unitary over |ab>, with the
-    non-driven qubit selecting the +-J branch of the driven one).  Each 2x2
+    model may be a bare Larmor frequency (any real number but a bool, numpy
+    scalars included; returns a 2x2 unitary) or a TwoQubitModel (returns the
+    4x4 register unitary over |ab>, with the non-driven qubit selecting the
+    +-J branch of the driven one).  Each 2x2
     block is the generalized Rabi precession exp(-i 2pi (d Sz + rabi S_phase) t)
     at detuning d = f - carrier.
     """
     # rabi S_phase = [[0, b], [b*, 0]] with b = rabi e^{-i phase} / 2
     b = cmath.rect(0.5 * pulse.rabi, -pulse.phase)
-    if isinstance(model, (int, float)):
+    if not isinstance(model, TwoQubitModel):
+        if not isinstance(model, numbers.Real) or isinstance(model, bool):
+            raise TypeError(f"model must be a frequency or TwoQubitModel, got {type(model)}")
         if not math.isfinite(model):
             raise ValueError(f"model frequency must be finite, got {model}")
         return spin_half_propagator(0.5 * (float(model) - pulse.carrier), b, pulse.duration)
-    if not isinstance(model, TwoQubitModel):
-        raise TypeError(f"model must be a frequency or TwoQubitModel, got {type(model)}")
     if target not in (0, 1):
         raise ValueError(f"target must be 0 (qubit a) or 1 (qubit b), got {target}")
 

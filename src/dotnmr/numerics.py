@@ -117,9 +117,15 @@ def hermitian_eig(h) -> EigenSystem:
 
 
 def _spin_half_entries(z: float, b: complex, t: float) -> tuple[complex, ...]:
-    """(u00, u01, u10, u11) of spin_half_propagator(z, b, t), as Python complexes."""
+    """(u00, u01, u10, u11) of spin_half_propagator(z, b, t), as Python complexes.
+
+    Raises ValueError when |K| or the phase 2 pi |K| t overflows.
+    """
     r = math.hypot(z, b.real, b.imag)
     theta = 2.0 * math.pi * r * t
+    if not math.isfinite(theta):  # an infinite r makes theta inf, or NaN at t = 0
+        raise ValueError(f"propagator phase overflows: 2 pi |K| t = {theta} "
+                         f"for |K| = {r}, t = {t}")
     c = math.cos(theta)
     s = math.sin(theta) / r if r else 0.0
     sb = s * b
@@ -132,7 +138,8 @@ def spin_half_propagator(z: float, b: complex, t: float) -> np.ndarray:
 
     With r = |K| = sqrt(z^2 + |b|^2) and theta = 2 pi r t this is the SU(2)
     closed form cos(theta) 1 - i (sin(theta) / r) K; K = 0 gives 1.  z, b and
-    t must be finite; its callers validate them.
+    t must be finite, which its callers check; an r or theta that overflows
+    raises ValueError.
     """
     u00, u01, u10, u11 = _spin_half_entries(z, b, t)
     return np.array([[u00, u01], [u10, u11]])

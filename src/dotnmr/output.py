@@ -11,11 +11,12 @@ cells are refused, so no emitted file holds "nan" or "inf".
 
 Every output is written as a new file: whatever is at its path is removed
 first, so a rerun does not rewrite the previous run's file in place, and a
-symlink at an output path is replaced, not followed.  Nothing is synced to
-disk: after a system crash soon after a run, an output of that run may be
-empty or missing, with the previous run's file already gone; its manifest
-digest then no longer matches, and rerunning the sweep rewrites the same
-bytes.
+symlink at an output path is replaced, not followed.  The writers hash the
+bytes as they write them, and the manifest records those digests; no file
+is read back.  Nothing is synced to disk: after a system crash soon after a
+run, an output of that run may be empty or missing, with the previous run's
+file already gone; its manifest digest then no longer matches, and
+rerunning the sweep rewrites the same bytes.
 """
 
 from __future__ import annotations
@@ -49,22 +50,34 @@ def _require_finite(sweep: Sweep, columns) -> None:
             raise ValueError(f"{name} is not finite at x = {sweep.x[np.argmin(finite)]}")
 
 
-def _write_new(path: Path, chunks: Iterable[bytes]) -> Path:
+class WrittenPath(type(Path())):
+    """Path of a file written by this module, with the sha256 hex digest of the bytes written."""
+
+    sha256: str
+
+
+def _write_new(path, chunks: Iterable[bytes]) -> WrittenPath:
     """Write chunks to path as a new file, removing whatever is there first.
 
-    On ext4 (auto_da_alloc), truncating a file and rewriting it, or renaming
-    a temporary file over it, flushes the new data on close or rename and
-    waits on the old pages' writeback; a new file skips both, at the cost of
-    the crash window in the module docstring.  A symlink at path is
-    replaced, not followed.
+    Each chunk is hashed as it is written, so the manifest needs no second
+    pass over the file.  On ext4 (auto_da_alloc), truncating a file and
+    rewriting it, or renaming a temporary file over it, flushes the new data
+    on close or rename and waits on the old pages' writeback; a new file
+    skips both, at the cost of the crash window in the module docstring.  A
+    symlink at path is replaced, not followed.
     """
+    path = WrittenPath(path)
     path.unlink(missing_ok=True)
+    digest = hashlib.sha256()
     with open(path, "xb") as fh:
-        fh.writelines(chunks)
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    path.sha256 = digest.hexdigest()
     return path
 
 
-def write_csv(sweep: Sweep, path) -> Path:
+def write_csv(sweep: Sweep, path) -> WrittenPath:
     """Write the sweep columns under the 14-column header; byte-identical per rerun.
 
     Floats get 9 significant digits ("%.9g"), the two label columns "%d".
@@ -75,7 +88,6 @@ def write_csv(sweep: Sweep, path) -> Path:
     if len(sweep.x) == 0:
         raise ValueError("cannot write an empty sweep")
     _require_finite(sweep, SWEEP_COLUMNS)
-    path = Path(path)
     row_format = ",".join(
         "%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS
     ) + "\n"
@@ -99,7 +111,7 @@ def _plot_range(values: np.ndarray, pad: float) -> tuple[float, float]:
     return lo, hi
 
 
-def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
+def emit_svg(sweep: Sweep, y_column: str, path) -> WrittenPath:
     """Render one sweep column as a static SVG line plot.
 
     Consecutive points sharing the same |m| (and so the same (|m|, S) label)
@@ -113,7 +125,6 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
     if y_column not in SWEEP_COLUMNS:
         raise ValueError(f"unknown column {y_column!r}; choose one of {SWEEP_COLUMNS}")
     _require_finite(sweep, ("x", y_column))
-    path = Path(path)
 
     xs = sweep.x
     ys = getattr(sweep, y_column)
@@ -166,14 +177,13 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> Path:
         f'font-family="sans-serif" text-anchor="middle" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.2f})">{y_column}</text>'
     )
+    chunks = [("\n".join(parts) + "\n").encode("ascii")]
     breaks = (np.flatnonzero(np.diff(sweep.m_abs)) + 1).tolist()
     for points in f2_point_runs(px(xs), py(ys), [0] + breaks + [len(xs)]):
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>'
-        )
-    parts.append("</svg>")
-
-    return _write_new(path, [("\n".join(parts) + "\n").encode("ascii")])
+        chunks += [b'<polyline points="', points,
+                   b'" fill="none" stroke="#1f4e79" stroke-width="1.5"/>\n']
+    chunks.append(b"</svg>\n")
+    return _write_new(path, chunks)
 
 
 def load_config(path) -> tuple[DotConfig, SweepSpec]:
@@ -244,17 +254,22 @@ class RunManifest:
 
 
 def sha256_of(path) -> str:
+    """sha256 hex digest of the file at path, read back from disk."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def build_manifest(cfg: DotConfig, spec: SweepSpec, paths: list[Path]) -> RunManifest:
+def build_manifest(cfg: DotConfig, spec: SweepSpec, paths: list[WrittenPath]) -> RunManifest:
+    """Manifest of the outputs at paths, as write_csv and emit_svg return them.
+
+    Each digest is that of the bytes the writer wrote; no file is read back.
+    """
     return RunManifest(
         config=asdict(cfg),
         grid=asdict(spec),
-        outputs=[{"path": p.name, "sha256": sha256_of(p)} for p in paths],
+        outputs=[{"path": p.name, "sha256": p.sha256} for p in paths],
     )
 
 
-def write_manifest(manifest: RunManifest, path) -> Path:
+def write_manifest(manifest: RunManifest, path) -> WrittenPath:
     payload = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    return _write_new(Path(path), [payload.encode("ascii")])
+    return _write_new(path, [payload.encode("ascii")])

@@ -38,26 +38,40 @@ from .errors import ParityError
 
 
 def spin_for_m(m_abs: int) -> int:
-    """Total spin forced by antisymmetry: 0 for even |m|, 1 for odd."""
-    return m_abs % 2
+    """Total spin forced by antisymmetry: 0 for even |m|, 1 for odd (an int or an int array)."""
+    return m_abs & 1
 
 
-def check_parity(m_abs: int, s_total: int) -> None:
-    """Raise ParityError unless S is the spin that antisymmetry forces for |m|."""
-    if s_total != spin_for_m(m_abs):
+def check_parity(m_abs, s_total) -> None:
+    """Raise ParityError unless S is the spin that antisymmetry forces for |m|.
+
+    Either may be an int array; the message names the first pair that fails.
+    """
+    wrong = s_total != spin_for_m(m_abs)
+    if wrong if isinstance(wrong, bool) else wrong.any():
+        if not isinstance(wrong, bool):
+            first = wrong.argmax()
+            m_abs, s_total = (np.broadcast_to(v, wrong.shape).flat[first]
+                              for v in (m_abs, s_total))
         raise ParityError(
             f"(|m|={m_abs}, S={s_total}) violates the parity rule: even m pairs "
             "with S=0, odd m with S=1"
         )
 
 
-def mu_m(m_abs: int, alpha_tilde: float) -> float:
-    """Effective angular-momentum index sqrt(m^2 + alpha_tilde)."""
-    if m_abs < 0:
-        raise ValueError(f"m_abs must be >= 0, got {m_abs}")
+def mu_m(m_abs, alpha_tilde: float):
+    """Effective angular-momentum index sqrt(m^2 + alpha_tilde), for an int or an int array |m|.
+
+    Both routes round the square root correctly, so an array entry equals the int's value.
+    """
     if not alpha_tilde >= 0:
         raise ValueError(f"alpha_tilde must be >= 0, got {alpha_tilde}")
-    return math.sqrt(m_abs * m_abs + alpha_tilde)
+    if isinstance(m_abs, int):
+        if m_abs < 0:
+            raise ValueError(f"m_abs must be >= 0, got {m_abs}")
+        return math.sqrt(m_abs * m_abs + alpha_tilde)
+    require_non_negative("m_abs", m_abs)
+    return np.sqrt(m_abs * m_abs + alpha_tilde)
 
 
 def effective_omega_ratio(x):
@@ -168,10 +182,9 @@ def ground_m_abs(cfg: DotConfig, x):
     the first x whose energies are not finite (x^2 overflows above ~1.3e154).
     """
     require_non_negative("x", x)
-    with np.errstate(over="ignore"):  # reported below, naming x
-        finite = np.isfinite(x * x)
-    if not finite.all():
-        bad = np.ravel(x)[np.argmin(np.ravel(finite))]
+    top = float(np.asarray(x).max(initial=0.0))
+    if not math.isfinite(top * top):  # x >= 0, so the largest x overflows first
+        bad = next(v for v in np.ravel(x).tolist() if not math.isfinite(v * v))
         raise FloatingPointError(f"ground-state energy is not finite at x = {bad}")
     crossings, labels = _staircase(cfg)
     return labels[np.searchsorted(crossings, x, side="left")]

@@ -2,7 +2,7 @@
 
 The orbital ground state, the contact coupling (with and without infrared
 excitation of the center of mass) and the resulting nuclear resonance are
-evaluated column-wise, one ground-state label at a time.  In singlet windows
+evaluated column-wise, over all triplet rows at once.  In singlet windows
 the nucleus is decoupled: the coupling and shift columns are exactly 0 and
 both resonance columns equal the bare Larmor frequency.
 """
@@ -63,23 +63,22 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
     """Sweep columns at the ratios x > 0 (a 1-D array, or a float for one row)."""
     x = np.array(x, dtype=float, ndmin=1)
     m_abs = ground_m_abs(cfg, x)
+    s_total = spin_for_m(m_abs)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    mu = np.array([mu_m(m, cfg.alpha_tilde) for m in range(cfg.m_max + 1)])[m_abs]
-    density, density_cm, a, a_cm = (np.zeros_like(x) for _ in range(4))
+    density, density_cm, a, a_cm = np.zeros((4, len(x)))
     f_nmr, f_nmr_ir = f0.copy(), f0.copy()
-    for m in np.unique(m_abs[spin_for_m(m_abs) == 1]).tolist():
-        at = m_abs == m
-        xs, bs = x[at], b[at]
-        density[at] = delta_m(cfg, xs, m)
-        density_cm[at] = delta_cm(cfg, xs, m)
-        a[at] = coupling_a(cfg, xs, m, 1)
-        a_cm[at] = coupling_a(cfg, xs, m, 1, ir_excited=True)
-        f_nmr[at] = nmr_closed_form(a[at], bs, cfg)
-        f_nmr_ir[at] = nmr_closed_form(a_cm[at], bs, cfg)
+    triplet = np.flatnonzero(s_total)
+    xs, ms, bs = x[triplet], m_abs[triplet], b[triplet]
+    density[triplet] = delta_m(cfg, xs, ms)
+    density_cm[triplet] = delta_cm(cfg, xs, ms)
+    a[triplet] = a_t = coupling_a(cfg, xs, ms, 1)
+    a_cm[triplet] = a_cm_t = coupling_a(cfg, xs, ms, 1, ir_excited=True)
+    f_nmr[triplet] = nmr_closed_form(a_t, bs, cfg)
+    f_nmr_ir[triplet] = nmr_closed_form(a_cm_t, bs, cfg)
     # singlet rows keep f_nmr == f0 exactly, so their shifts are exactly 0
-    return Sweep(x, b, m_abs, spin_for_m(m_abs), mu, density, density_cm, a, a_cm,
-                 f0, f_nmr, f_nmr_ir, (f_nmr - f0) / f0, (f_nmr_ir - f0) / f0)
+    return Sweep(x, b, m_abs, s_total, mu_m(m_abs, cfg.alpha_tilde), density, density_cm, a,
+                 a_cm, f0, f_nmr, f_nmr_ir, (f_nmr - f0) / f0, (f_nmr_ir - f0) / f0)
 
 
 def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
@@ -98,8 +97,8 @@ def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
     x[-1] = x_max
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
         sweep = sweep_row(cfg, x)
-    finite = np.all([np.isfinite(column) for column in sweep], axis=0)
-    if not finite.all():
+    if not all(np.isfinite(column).all() for column in sweep):
+        finite = np.all([np.isfinite(column) for column in sweep], axis=0)
         raise FloatingPointError(f"sweep row is not finite at x = {x[np.argmin(finite)]}")
     # labels only rise with x, so the last point alone decides the m_max warning
     ground_state_at(cfg, x_max)

@@ -125,6 +125,27 @@ def test_rwa_pulse_rejects_non_finite_frequency(bad):
     assert unitarity_defect(rwa_pulse(-10.0, pulse)) <= 1e-12  # negative frequencies stay valid
 
 
+@pytest.mark.parametrize("frequency", [np.float32(10.0), np.int64(10)])
+def test_rwa_pulse_takes_numpy_frequencies(frequency):
+    pulse = PulseSpec(carrier=9.5, rabi=0.3, phase=0.2, duration=1.7)
+    assert np.array_equal(rwa_pulse(frequency, pulse), rwa_pulse(10.0, pulse))
+
+
+def test_rwa_pulse_refuses_a_bool_frequency():
+    pulse = PulseSpec(carrier=1.0, rabi=0.3, duration=1.7)
+    with pytest.raises(TypeError, match="model must be a frequency or TwoQubitModel"):
+        rwa_pulse(True, pulse)
+
+
+@pytest.mark.parametrize("frequency, pulse", [
+    (1e308, PulseSpec(carrier=-1e308, rabi=1.0, duration=1.0)),  # the detuning overflows
+    (10.0, PulseSpec(carrier=10.0, rabi=1e300, duration=1e10)),  # 2 pi r t overflows
+])
+def test_rwa_pulse_names_an_overflowing_phase(frequency, pulse):
+    with pytest.raises(ValueError, match="^propagator phase overflows"):
+        rwa_pulse(frequency, pulse)
+
+
 def test_zero_duration_pulse_is_identity():
     pulse = PulseSpec(carrier=9.0, rabi=1.0, duration=0.0)
     assert np.array_equal(rwa_pulse(10.0, pulse), np.eye(2, dtype=complex))

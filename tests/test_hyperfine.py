@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -127,3 +128,27 @@ def test_delta_cm_dominates_when_mu_above_one(default_cfg):
     for m in (1, 3, 5):  # mu_m >= 2 with the default repulsion
         for x in (0.0, 1.1, 3.3):
             assert delta_cm(default_cfg, x, m) >= delta_m(default_cfg, x, m)
+
+
+def test_array_labels_match_scalar_calls_bitwise(default_cfg):
+    x = np.linspace(0.0, 9.0, 40)
+    m = np.arange(40) % 20 | 1  # odd labels 1..19, in no order
+    for values, scalar in (
+        (mu_m(m, default_cfg.alpha_tilde), lambda xi, mi: mu_m(mi, default_cfg.alpha_tilde)),
+        (delta_m(default_cfg, x, m), lambda xi, mi: delta_m(default_cfg, xi, mi)),
+        (delta_cm(default_cfg, x, m), lambda xi, mi: delta_cm(default_cfg, xi, mi)),
+        (coupling_a(default_cfg, x, m, 1), lambda xi, mi: coupling_a(default_cfg, xi, mi, 1)),
+        (coupling_a(default_cfg, x, m, 1, ir_excited=True),
+         lambda xi, mi: coupling_a(default_cfg, xi, mi, 1, ir_excited=True)),
+    ):
+        expected = [scalar(xi, mi) for xi, mi in zip(x.tolist(), m.tolist())]
+        assert values.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+def test_array_labels_are_checked(default_cfg):
+    with pytest.raises(ValueError, match="m_abs must be >= 0"):
+        delta_m(default_cfg, np.ones(3), np.array([1, -1, 3]))
+    with pytest.raises(ValueError, match="m_abs must be >= 0"):
+        mu_m(np.array([0, -2]), 3.0)
+    with pytest.raises(ParityError, match=r"\(\|m\|=4, S=1\)"):
+        coupling_a(default_cfg, np.ones(3), np.array([1, 4, 6]), 1)

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotnmr import (
@@ -18,12 +18,19 @@ from dotnmr import (
     DotConfig,
     SWEEP_COLUMNS,
     Sweep,
+    b_field_from_ratio,
     build_manifest,
+    coupling_a,
+    delta_cm,
+    delta_m,
     emit_svg,
     ground_state_at,
     load_config,
     magic_transitions,
+    mu_m,
+    nmr_closed_form,
     nmr_numeric,
+    nuclear_larmor_mhz,
     run_sweep,
     sweep_row,
     write_csv,
@@ -256,19 +263,94 @@ def test_g9_edge_values():
     assert ["%.9g" % v for v in values] == list(expected)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(
-    st.floats(0.0, 1e4, exclude_max=True)
+# coordinates with 1 to 4 integer digits, exact half-cent ties, and 5 digits from 9999.995 up
+F2_COORDINATE = (
+    st.integers(0, 3).flatmap(lambda k: st.floats(0.0 if k == 0 else 10.0**k, 10.0 ** (k + 1),
+                                                  exclude_max=True))
     | st.integers(0, 10**6 - 1).map(lambda d: (d + 0.5) / 100)
-    | st.integers(0, 8 * 10**4 - 1).map(lambda j: j / 8),
-    min_size=1, max_size=16,
-))
-def test_f2_points_match_python(values):
-    u, v = np.array(values), np.array(values[::-1])
-    breaks = [0, len(values) // 2, len(values)]
-    points = [f"{a:.2f},{b:.2f}" for a, b in zip(u.tolist(), v.tolist())]
-    expected = [" ".join(points[lo:hi]) for lo, hi in zip(breaks[:-1], breaks[1:])]
-    assert f2_point_runs(u, v, breaks) == expected
+    | st.integers(0, 8 * 10**4 - 1).map(lambda j: j / 8)
+    | st.floats(9999.99, 1e4, exclude_max=True)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_f2_points_match_python(data):
+    points = data.draw(st.lists(st.tuples(F2_COORDINATE, F2_COORDINATE), min_size=1, max_size=12))
+    n = len(points)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    repeat = data.draw(st.integers(1, 3))  # copies of the first cut: empty runs in the middle
+    # repeated bounds at the start and the end leave empty runs there too
+    bounds = ([0] * data.draw(st.integers(1, 3)) + cuts[:1] * repeat + cuts[1:]
+              + [n] * data.draw(st.integers(1, 3)))
+    text = [f"{a:.2f},{b:.2f}" for a, b in points]
+    expected = [" ".join(text[lo:hi]).encode() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    u, v = np.array(points).T
+    assert f2_point_runs(u, v, bounds) == expected
+
+
+def test_f2_point_runs_cover_every_digit_count():
+    u = np.array([0.004, 7.125, 12.345, 99.995, 123.456, 999.995, 4321.005, 9999.994, 9999.995])
+    v = u[::-1].copy()
+    bounds = [0, 0, 3, 3, 3, 7, 9, 9]
+    text = [f"{a:.2f},{b:.2f}" for a, b in zip(u.tolist(), v.tolist())]
+    assert {len(t.split(",")[0].split(".")[0]) for t in text} == {1, 2, 3, 4, 5}
+    expected = [" ".join(text[lo:hi]).encode() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert f2_point_runs(u, v, bounds) == expected
+
+
+def scalar_sweep_row(cfg, x):
+    """One sweep row from the scalar chain, independent of the vector path."""
+    ground = ground_state_at(cfg, x)
+    m, s = ground.m_abs, ground.s_total
+    b = b_field_from_ratio(cfg, x)
+    f0 = nuclear_larmor_mhz(cfg, b)
+    a, a_cm = coupling_a(cfg, x, m, s), coupling_a(cfg, x, m, s, ir_excited=True)
+    density, density_cm = (delta_m(cfg, x, m), delta_cm(cfg, x, m)) if s else (0.0, 0.0)
+    f, f_ir = (nmr_closed_form(a, b, cfg), nmr_closed_form(a_cm, b, cfg)) if s else (f0, f0)
+    return (x, b, m, s, mu_m(m, cfg.alpha_tilde), density, density_cm, a, a_cm, f0, f, f_ir,
+            (f - f0) / f0, (f_ir - f0) / f0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.05, 0.6),
+    alpha=st.floats(0.0, 8.0),
+    c=st.floats(0.0, 500.0),
+    m_max=st.integers(5, 25),
+    window=st.sampled_from(["free", "singlet", "top"]),
+    lo=st.floats(1e-3, 1.0),
+    span=st.floats(1e-6, 50.0),
+    steps=st.integers(2, 300),
+)
+@example(g=2.0, mstar=0.19, alpha=3.0, c=60.0, m_max=5, window="top", lo=0.5, span=2.0,
+         steps=300)
+def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, window, lo,
+                                                    span, steps):
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, hyperfine_c=c,
+                    m_max=m_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m_max and gamma_e consistency warnings
+        points = magic_transitions(cfg, 0.0, 1e6)
+        edges = [p.x_star for p in points]
+        if window == "free":
+            x_lo, x_hi = 4.0 * lo, 4.0 * lo + span
+        elif window == "singlet":  # below the first boundary
+            first = edges[0] if edges else 10.0
+            x_lo = 0.5 * lo * first
+            x_hi = x_lo + (first - x_lo) * span / 50.0
+        else:  # past the last boundary, up to the top label
+            last = edges[-1] if edges else 1.0
+            x_lo, x_hi = lo * last, last * (1.0 + span)
+        sweep = run_sweep(cfg, x_lo, x_hi, steps)
+        expected = np.array([scalar_sweep_row(cfg, x) for x in sweep.x.tolist()], dtype=float)
+    if window == "singlet":
+        assert not sweep.s_total.any()
+    elif window == "top":
+        assert sweep.m_abs[-1] == (points[-1].to_state[0] if points else 0)
+    for name, column, reference in zip(SWEEP_COLUMNS, sweep, expected.T):
+        assert column.astype(float).tobytes() == reference.tobytes(), name
 
 
 @settings(max_examples=25, deadline=None)
