@@ -8,11 +8,20 @@ byte for byte as Python does:
   even on the exact binary value.  The scale 10^k, k = 8 - X with X the
   decimal exponent, is an exact double for 0 <= k <= 22; where the floating
   product lands on a tie, its Dekker two-product error decides the rounding.
-* Each cell fills a fixed 36-byte template: sign, "0.", leading zeros, the
-  digits twice, ".", "e-XX" and the separator.  Which bytes print depends
-  only on the sign, X and the number of digits kept after stripping trailing
-  zeros, so a mask table selects them and one boolean compress packs a block
-  of rows.
+* Each cell is built in a 16-byte slot, two uint64 words: byte 0 is "-", the
+  body (at most 14 bytes, as in "0.000123456789" or "1.23456789e-05") starts
+  at byte 1 and the separator follows it, so the cell is the one byte range
+  [0 if negative else 1, end).  A table row per shape (X, digits kept after
+  stripping trailing zeros, separator) holds the words of the cell's text
+  with every digit written as "0": the sign, "0." and leading zeros, ".",
+  "e-XX" and the separator.  The digits are or-ed over it as byte values
+  0-9: d1..d8 as one word split at the decimal point (the digits before it
+  shifted to byte 1, or past the leading zeros, and the rest one byte
+  further on), and d9 on its own.  A stripped zero adds 0 bytes, so the
+  constants that land on its place keep their value.
+* numpy's boolean compress costs ~0.55 ns per mask byte plus ~10-12 ns per
+  run of kept bytes, so with one run per 16-byte cell it packs a block of
+  rows at close to its per-byte cost.
 
 Cells outside that exact domain (|v| not 0 and not in [1e-14, 1e9), and the
 carry of 999999999.5 up to 1e+09) leave their whole row to Python's %.
@@ -27,7 +36,7 @@ import numpy as np
 
 _X_MIN, _X_MAX = -14, 8      # decimal exponents whose scale 10**(8 - X) is exact
 _N_X = _X_MAX - _X_MIN + 1
-_WIDTH = 36                  # template bytes of one '%.9g' cell (9 uint32 words)
+_SLOT = 16                   # bytes of one '%.9g' cell: "-", a body of at most 14, separator
 _BLOCK_ROWS = 4096
 _SPLITTER = 134217729.0      # 2**27 + 1, splits a double into two 26-bit halves
 _POW10 = np.array([float(10**k) for k in range(_X_MAX - _X_MIN + 1)])  # each exact
@@ -48,37 +57,37 @@ for _table in (_POW10, _F2_MASKS, _F2_TAILS):
 
 @functools.cache
 def _tables():
-    """Read-only lookup tables: 4-digit words, trailing-zero counts, exponent words, masks."""
+    """Read-only lookup tables: 4-digit words, trailing-zero counts and the slot tables."""
     i = np.arange(10000, dtype="<u4")
     quad = sum((i // 10**(3 - n) % 10 + ord("0")) << (8 * n) for n in range(4))
     zeros = sum((i % 10**n == 0).astype(np.int8) for n in range(1, 5))  # 4 for i = 0
-    expo = np.array([_word(f"e-{-x:02d}") if x < 0 else 0 for x in range(_X_MIN, _X_MAX + 1)],
-                    dtype="<u4")
-    # byte layout: 0 sign, 1-2 "0.", 3-5 zeros, 7 d1, 8-15 d2..d9,
-    # 19 ".", 20-27 d2..d9 again, 28-31 "e-XX", 32 separator
-    masks = np.zeros((2, _N_X, 9, _WIDTH), dtype=bool)
-    masks[..., 32] = True
-    masks[1, ..., 0] = True
+    raw = (quad - _word("0000")).astype(np.uint64)  # four digits as byte values 0-9
+    # per X, for d1..d8 split at the gap left for ".": the mask of the digits before it,
+    # their bit shift and 64 minus it (those after it go 16 bits up), and d9's bit shift
+    per_x = np.empty((4, _N_X), dtype=np.uint64)
+    # per (X, kept, newline, sign): the cell's text, digits as "0", and its kept byte range
+    words = np.zeros((_N_X, 10, 2, 2, 2), dtype="<u8")
+    keep = np.zeros((_N_X, 10, 2, 2, _SLOT), dtype=bool)
     for x in range(_X_MIN, _X_MAX + 1):
-        for n in range(1, 10):  # digits kept
-            m = masks[:, x - _X_MIN, n - 1]
-            if x >= 0:  # integer digits from the first copy, the fraction from the second
-                m[:, 7:8 + x] = True
-                if n > x + 1:
-                    m[:, 19] = True
-                    m[:, 20 + x:19 + n] = True
-            elif x >= -4:  # "0." and -x - 1 zeros before the digits
-                m[:, 1:2 - x] = True
-                m[:, 7:7 + n] = True
-            else:
-                m[:, 7] = True
-                if n > 1:
-                    m[:, 19:19 + n] = True
-                m[:, 28:32] = True
-    masks = masks.reshape(-1, _WIDTH)
-    for table in (quad, zeros, expo, masks):
+        if x >= 0:  # X + 1 integer digits, then "." and the fraction
+            before, shift, ninth_at = min(x + 1, 8), 8, 9 if x == 8 else 10
+        elif x >= -4:  # "0." and -X - 1 zeros, then every digit
+            before, shift, ninth_at = 8, 16 - 8 * x, 10 - x
+        else:  # d1, then "." and the rest, then "e-XX"
+            before, shift, ninth_at = 1, 8, 10
+        per_x[:, x - _X_MIN] = (1 << 8 * before) - 1, shift, 64 - shift, 8 * ninth_at - 64
+        for n in range(1, 10):  # Python's text of n ones at exponent X, the ones as "0"
+            mantissa, e, exponent = ("%.9g" % float(f"{'1' * n}e{x - n + 1}")).partition("e")
+            body = mantissa.replace("1", "0") + e + exponent
+            for newline, sep in enumerate(",\n"):
+                text = f"-{body}{sep}".encode("ascii")
+                words[x - _X_MIN, n, newline] = np.frombuffer(text.ljust(_SLOT, b"\0"), "<u8")
+                keep[x - _X_MIN, n, newline, 0, 1:len(text)] = True
+                keep[x - _X_MIN, n, newline, 1, :len(text)] = True
+    tables = quad, zeros, raw, *per_x, words.reshape(-1, 2), keep.reshape(-1, _SLOT)
+    for table in tables:
         table.flags.writeable = False
-    return quad, zeros, expo, masks
+    return tables
 
 
 def _two_product_error(a, b):
@@ -101,13 +110,14 @@ def _round_product(a, scale):
     return d
 
 
-def _g9_cells(v: np.ndarray, words: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Fill the digit words and byte masks of '%.9g' for a 2-D float block.
+def _g9_cells(v: np.ndarray, slots: np.ndarray, keep: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Fill the 16-byte slots and kept-byte masks of '%.9g' for a 2-D float block.
 
-    Returns which cells lie in the exact domain; the others get a valid but
-    meaningless template.
+    slots is (rows, columns, 2) uint64, keep (rows, columns, 16) bool and
+    work (4, cells) uint64 scratch.  Returns which cells lie in the exact
+    domain; the others get a valid but meaningless slot.
     """
-    quad, zeros, expo, masks = _tables()
+    quad, zeros, raw, before, shift, back, ninth_shift, words, keeps = _tables()
     flat = v.ravel()
     a = np.abs(flat)
     ok = (a < 1e9) & ((a >= 1e-14) | (a == 0.0))
@@ -130,12 +140,25 @@ def _g9_cells(v: np.ndarray, words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     hi, lo = np.divmod(d.astype(np.int32), 10000)
     first, mid = np.divmod(hi, 10000)
     kept = 9 - zeros[lo] - (lo == 0) * zeros[mid]  # first >= 1 unless D = 0
-    shape = (np.signbit(flat) * _N_X + (x - _X_MIN)) * 9 + (kept - 1)
-    words[..., 1] = (_word("00 0") + (first << 24)).reshape(v.shape)
-    words[..., 2] = words[..., 5] = quad[mid].reshape(v.shape)
-    words[..., 3] = words[..., 6] = quad[lo].reshape(v.shape)
-    words[..., 7] = expo[x - _X_MIN].reshape(v.shape)
-    masks.take(shape.reshape(v.shape), axis=0, out=mask)
+    x -= _X_MIN
+    shape = x * 40 + kept * 4 + np.signbit(flat)
+    shape.reshape(v.shape)[:, -1] += 2  # the last column ends in a newline
+    # every index is in range; mode="clip" writes into out directly, where "raise" buffers
+    w = slots.reshape(-1, 2)
+    words.take(shape, axis=0, out=w, mode="clip")
+    keeps.take(shape, axis=0, out=keep.reshape(-1, _SLOT), mode="clip")
+    digits, head, tmp, ninth = work
+    np.right_shift(raw.take(lo, out=tmp, mode="clip"), np.uint64(24), out=ninth)
+    np.left_shift(raw.take(mid, out=digits, mode="clip"), np.uint64(8), out=digits)
+    digits |= np.left_shift(tmp, np.uint64(40), out=tmp)  # d9 shifts out
+    np.bitwise_or(digits, first, out=digits, dtype=np.uint64, casting="unsafe")  # d1..d8
+    np.bitwise_and(digits, before.take(x, out=head, mode="clip"), out=head)  # before the gap
+    digits ^= head  # and after it
+    w[:, 0] |= np.left_shift(head, shift.take(x, out=tmp, mode="clip"), out=tmp)
+    w[:, 1] |= np.right_shift(head, back.take(x, out=tmp, mode="clip"), out=tmp)
+    w[:, 0] |= np.left_shift(digits, np.uint64(16), out=head)
+    w[:, 1] |= np.right_shift(digits, np.uint64(48), out=head)
+    w[:, 1] |= np.left_shift(ninth, ninth_shift.take(x, out=tmp, mode="clip"), out=tmp)
     return ok.reshape(v.shape)
 
 
@@ -147,21 +170,21 @@ def g9_rows(columns: Sequence[np.ndarray], row_format: str) -> Iterator[bytes]:
     """
     fields = row_format[:-1].split(",")
     n_rows = len(columns[0])
-    # one template per block, reused: sign, "0.0", "00 ", "   .", separator stay put
-    template = np.empty((min(n_rows, _BLOCK_ROWS), len(fields), _WIDTH // 4), dtype="<u4")
-    template[..., 0] = _word("-0.0")
-    template[..., 4] = _word("   .")
-    template[..., 8] = [_word(",   ")] * (len(fields) - 1) + [_word("\n   ")]
-    masks = np.empty(template.shape[:2] + (_WIDTH,), dtype=bool)
+    rows = min(n_rows, _BLOCK_ROWS)
+    # reused by every block
+    slots = np.empty((rows, len(fields), 2), dtype=np.uint64)
+    keep = np.empty((rows, len(fields), _SLOT), dtype=bool)
+    work = np.empty((4, rows * len(fields)), dtype=np.uint64)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = [c[start:start + _BLOCK_ROWS] for c in columns]
         cells = np.stack([np.trunc(c) + 0.0 if f == "%d" else c for c, f in zip(block, fields)],
                          axis=1).astype(float, copy=False)
-        words, mask = template[:len(cells)], masks[:len(cells)]
-        ok = _g9_cells(cells, words, mask)
+        n = len(cells)
+        mask = keep[:n]
+        ok = _g9_cells(cells, slots[:n], mask, work[:, :cells.size])
         foreign = np.flatnonzero(~ok.all(axis=1))
         mask[foreign] = False
-        packed = words.view(np.uint8)[mask]
+        packed = slots[:n].view(np.uint8)[mask]
         if not foreign.size:
             yield packed.tobytes()
             continue

@@ -106,7 +106,10 @@ def _cmd_sweep(args) -> int:
     cfg, spec = _load(args)
     sweep = run_sweep(cfg, spec.x_min, spec.x_max, spec.steps)
     out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     paths = [write_csv(sweep, out_dir / "sweep.csv")]
     if args.svg:
         paths.append(emit_svg(sweep, "delta_l0sq", out_dir / "coupling.svg"))

@@ -64,15 +64,19 @@ def _write_new(path, chunks: Iterable[bytes]) -> WrittenPath:
     rewriting it, or renaming a temporary file over it, flushes the new data
     on close or rename and waits on the old pages' writeback; a new file
     skips both, at the cost of the crash window in the module docstring.  A
-    symlink at path is replaced, not followed.
+    symlink at path is replaced, not followed.  A path that cannot be
+    written raises ConfigError naming it.
     """
     path = WrittenPath(path)
-    path.unlink(missing_ok=True)
     digest = hashlib.sha256()
-    with open(path, "xb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-            digest.update(chunk)
+    try:
+        path.unlink(missing_ok=True)
+        with open(path, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     path.sha256 = digest.hexdigest()
     return path
 

@@ -172,6 +172,27 @@ def test_sweep_replaces_a_symlink_instead_of_following_it(tmp_path):
     assert target.read_bytes() == b"keep me\n"
 
 
+def test_sweep_out_dir_that_is_a_file_exits_1(tmp_path, capsys):
+    out_file = tmp_path / "out"
+    out_file.write_bytes(b"")
+    assert main(["sweep", "--steps", "20", "--out-dir", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {out_file}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["sweep.csv", "coupling.svg", "shift.svg", "manifest.json"])
+def test_sweep_directory_at_an_output_path_exits_1(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert main(["sweep", "--steps", "20", "--svg", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {tmp_path / name}: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / name).is_dir()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

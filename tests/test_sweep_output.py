@@ -263,6 +263,18 @@ def test_g9_edge_values():
     assert ["%.9g" % v for v in values] == list(expected)
 
 
+def test_g9_rows_reach_every_slot_shape():
+    # n kept digits "12..n" at each exponent X in [-14, 8], with both signs in both columns,
+    # so every (X, kept, separator, sign) row of the slot tables is used; zeros added
+    shapes = [float(f"{'123456789'[:n]}e{x - n + 1}") for x in range(-14, 9) for n in range(1, 10)]
+    rows = [(v, -v) for v in shapes + [0.0]] + [(-v, v) for v in shapes + [0.0]]
+    rows *= _numfmt._BLOCK_ROWS // len(rows) + 1  # two blocks, the last one shorter
+    assert _numfmt._BLOCK_ROWS < len(rows) < 2 * _numfmt._BLOCK_ROWS
+    left, right = (np.array(c) for c in zip(*rows))
+    expected = "".join("%.9g,%.9g\n" % row for row in rows).encode("ascii")
+    assert b"".join(g9_rows([left, right], "%.9g,%.9g\n")) == expected
+
+
 # coordinates with 1 to 4 integer digits, exact half-cent ties, and 5 digits from 9999.995 up
 F2_COORDINATE = (
     st.integers(0, 3).flatmap(lambda k: st.floats(0.0 if k == 0 else 10.0**k, 10.0 ** (k + 1),
