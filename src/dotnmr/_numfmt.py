@@ -123,7 +123,7 @@ def _g9_cells(v: np.ndarray, slots: np.ndarray, keep: np.ndarray, work: np.ndarr
     ok = (a < 1e9) & ((a >= 1e-14) | (a == 0.0))
     a[~ok | (a == 0.0)] = 1.0  # stands in for zeros and foreign cells
     x = np.clip(np.floor(np.log10(a)), _X_MIN, _X_MAX).astype(np.intp)
-    d = _round_product(a, _POW10[_X_MAX - x])
+    d = _round_product(a, _POW10.take(_X_MAX - x))
     for _ in range(2):  # floor(log10) can be one off, and rounding can carry into 10^9
         step = (d >= 1e9).astype(np.intp) - (d < 1e8)
         fix = np.flatnonzero(step)
@@ -132,14 +132,14 @@ def _g9_cells(v: np.ndarray, slots: np.ndarray, keep: np.ndarray, work: np.ndarr
         x[fix] += step[fix]
         ok[fix] &= (x[fix] >= _X_MIN) & (x[fix] <= _X_MAX)  # 999999999.5 carries to 1e+09
         x[fix] = np.clip(x[fix], _X_MIN, _X_MAX)
-        d[fix] = _round_product(a[fix], _POW10[_X_MAX - x[fix]])
+        d[fix] = _round_product(a[fix], _POW10.take(_X_MAX - x[fix]))
     ok &= (d >= 1e8) & (d < 1e9)
     zero = flat == 0.0
     d[zero | ~ok] = 0.0
     x[zero] = 0  # "0" is a one-digit integer
     hi, lo = np.divmod(d.astype(np.int32), 10000)
     first, mid = np.divmod(hi, 10000)
-    kept = 9 - zeros[lo] - (lo == 0) * zeros[mid]  # first >= 1 unless D = 0
+    kept = 9 - zeros.take(lo) - (lo == 0) * zeros.take(mid)  # first >= 1 unless D = 0
     x -= _X_MIN
     shape = x * 40 + kept * 4 + np.signbit(flat)
     shape.reshape(v.shape)[:, -1] += 2  # the last column ends in a newline

@@ -115,6 +115,13 @@ def require_non_negative(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def require_finite_non_negative(name: str, value) -> None:
+    """require_non_negative, and raise ValueError naming value where it is +inf."""
+    require_non_negative(name, value)
+    if not (value if isinstance(value, (int, float)) else np.max(value, initial=0)) < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def b_field_from_ratio(cfg: DotConfig, x):
     """Magnetic field in Tesla for a ratio x = omega_c/omega_0 (float or array)."""
     require_non_negative("x", x)

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,13 @@ SVG_HEIGHT = 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 84, 20, 20, 56
 
 _SWEEP_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
+# the JSON type each config key takes, and its name in errors; a bool is no number
+_NUMBER, _INTEGER = ((int, float), "a number"), (int, "an integer")
+_CONFIG_TYPES = {**dict.fromkeys(CONFIG_FIELDS, _NUMBER), "m_max": _INTEGER}
+_SWEEP_TYPES = {"x_min": _NUMBER, "x_max": _NUMBER, "steps": _INTEGER, "ir": (bool, "a boolean")}
+_CONFIG_KEYS = frozenset(CONFIG_FIELDS + ("sweep",))
+# NaN/Infinity/-Infinity stay literal text, so the type checks reject them by key
+_DECODER = json.JSONDecoder(parse_constant=str)
 
 
 def _require_finite(sweep: Sweep, columns) -> None:
@@ -194,16 +201,20 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
     """Strict JSON config: dot parameters at top level, grid under "sweep".
 
     Absent keys fall back to defaults; unknown keys are rejected by name.
+    One bytes read and one shared decoder, with json.loads's BOM check and text
+    mode's newlines kept so messages match; an unreadable or non-UTF-8 file fails.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # text mode's newlines
     try:
-        # NaN/Infinity/-Infinity stay as their literal text, so the number
-        # checks below reject them naming the key
-        data = json.loads(text, parse_constant=str)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -211,41 +222,28 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
 
-    unknown = sorted(set(data) - set(CONFIG_FIELDS) - {"sweep"})
+    unknown = sorted(data.keys() - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    cfg_kwargs = {}
-    for key in CONFIG_FIELDS:
-        if key not in data:
-            continue
-        value = data[key]
-        if key == "m_max":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"m_max must be an integer, got {value!r}")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        cfg_kwargs[key] = value
-    cfg = validate_config(DotConfig(**cfg_kwargs))
+    _require_types(data, _CONFIG_TYPES, "")
+    cfg = validate_config(DotConfig(**{key: data[key] for key in CONFIG_FIELDS if key in data}))
 
     sweep_data = data.get("sweep", {})
     if not isinstance(sweep_data, dict):
         raise ConfigError("'sweep' must be a JSON object")
-    unknown = sorted(set(sweep_data) - set(_SWEEP_SPEC_FIELDS))
+    unknown = sorted(sweep_data.keys() - _SWEEP_TYPES.keys())
     if unknown:
         raise ConfigError(f"unknown sweep key(s): {', '.join(unknown)}")
-    for key in ("x_min", "x_max"):
-        if key in sweep_data and (
-            not isinstance(sweep_data[key], (int, float)) or isinstance(sweep_data[key], bool)
-        ):
-            raise ConfigError(f"sweep.{key} must be a number, got {sweep_data[key]!r}")
-    if "steps" in sweep_data and (
-        not isinstance(sweep_data["steps"], int) or isinstance(sweep_data["steps"], bool)
-    ):
-        raise ConfigError(f"sweep.steps must be an integer, got {sweep_data['steps']!r}")
-    if "ir" in sweep_data and not isinstance(sweep_data["ir"], bool):
-        raise ConfigError(f"sweep.ir must be a boolean, got {sweep_data['ir']!r}")
+    _require_types(sweep_data, _SWEEP_TYPES, "sweep.")
     return cfg, SweepSpec(**sweep_data)
+
+
+def _require_types(data: dict, types: dict, prefix: str) -> None:
+    """Raise ConfigError at the first key, in the order of types, holding a wrong JSON type."""
+    for key, (kind, noun) in types.items():
+        if key in data and (not isinstance(data[key], kind)
+                            or isinstance(data[key], bool) and kind is not bool):
+            raise ConfigError(f"{prefix}{key} must be {noun}, got {data[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -257,23 +255,18 @@ class RunManifest:
     outputs: list[dict]
 
 
-def sha256_of(path) -> str:
-    """sha256 hex digest of the file at path, read back from disk."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def build_manifest(cfg: DotConfig, spec: SweepSpec, paths: list[WrittenPath]) -> RunManifest:
     """Manifest of the outputs at paths, as write_csv and emit_svg return them.
 
     Each digest is that of the bytes the writer wrote; no file is read back.
     """
     return RunManifest(
-        config=asdict(cfg),
-        grid=asdict(spec),
+        config={name: getattr(cfg, name) for name in CONFIG_FIELDS},
+        grid={name: getattr(spec, name) for name in _SWEEP_SPEC_FIELDS},
         outputs=[{"path": p.name, "sha256": p.sha256} for p in paths],
     )
 
 
 def write_manifest(manifest: RunManifest, path) -> WrittenPath:
-    payload = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    payload = json.dumps(vars(manifest), indent=2, sort_keys=True) + "\n"
     return _write_new(path, [payload.encode("ascii")])

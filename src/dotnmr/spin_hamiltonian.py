@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_non_negative
+from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_finite_non_negative
 from .errors import DegenerateSelectionError
 from .hyperfine import coupling_a
 from .numerics import hermitian_eig
@@ -124,8 +124,8 @@ def build_spin_matrix(
     Triplet: full 6x6 with the flip-flop and Iz Sz terms.  Singlet electrons
     are uncoupled, leaving a 2x2 nuclear Zeeman matrix.
     """
-    require_non_negative("a_mhz", a_mhz)
-    require_non_negative("b_tesla", b_tesla)
+    require_finite_non_negative("a_mhz", a_mhz)
+    require_finite_non_negative("b_tesla", b_tesla)
     coupling, i_z, s_z = _spin_operators(s_total)
     h = a_mhz * coupling - cfg.gamma_n * b_tesla * i_z + cfg.gamma_e * b_tesla * s_z
     return SpinMatrix(matrix=h, labels=spin_basis(s_total))
@@ -133,8 +133,8 @@ def build_spin_matrix(
 
 def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
     """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays)."""
-    require_non_negative("a_mhz", a_mhz)
-    require_non_negative("b_tesla", b_tesla)
+    require_finite_non_negative("a_mhz", a_mhz)
+    require_finite_non_negative("b_tesla", b_tesla)
     gn = cfg.gamma_n
     ge = cfg.gamma_e
     s = a_mhz + (gn + ge) * b_tesla

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -5,7 +6,10 @@ import pytest
 
 from dotnmr import magic_transitions
 from dotnmr.cli import main
-from dotnmr.output import sha256_of
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):
@@ -93,6 +97,18 @@ def test_exit_code_for_config_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"hbar_omega0": -2.0}))
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_1_naming_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.json"
+    cfg_path.write_bytes(b'{"alpha_tilde": 3.0}\xff')
+    assert main(["transitions", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"config error: cannot read config {cfg_path}: 'utf-8' codec can't decode "
+        "byte 0xff in position 20: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize(

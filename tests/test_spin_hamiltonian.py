@@ -205,6 +205,22 @@ def test_build_matrix_rejects_negative_inputs(default_cfg):
         build_spin_matrix(1.0, -1.0, default_cfg, 1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, np.float64(np.inf), np.array([1.0, np.inf])])
+def test_infinite_inputs_fail_by_name_before_any_arithmetic(default_cfg, bad):
+    # pytest turns numpy's "invalid value" RuntimeWarning into an error, so a
+    # ValueError here was raised before any arithmetic on the infinite value
+    for name, args in (("a_mhz", (bad, 1.0)), ("b_tesla", (1.0, bad))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            nmr_closed_form(*args, default_cfg)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            build_spin_matrix(*args, default_cfg, 1)
+        if np.ndim(bad) == 0:
+            with mock.patch("dotnmr.spin_hamiltonian.hermitian_eig") as eig:
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+                    nmr_numeric(*args, default_cfg)
+            eig.assert_not_called()
+
+
 def test_build_matrix_rejects_nan_inputs_by_name(default_cfg):
     with pytest.raises(ValueError, match="a_mhz must be >= 0"):
         build_spin_matrix(math.nan, 1.0, default_cfg, 1)

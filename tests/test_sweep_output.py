@@ -1,5 +1,6 @@
 import bisect
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,7 +40,8 @@ from dotnmr import (
 from dotnmr import _numfmt
 from dotnmr._numfmt import f2_point_runs, g9_rows
 from dotnmr.cli import main
-from dotnmr.output import sha256_of
+from dotnmr.config import CONFIG_FIELDS, validate_config
+from dotnmr.output import RunManifest, WrittenPath
 from dotnmr.sweep import SweepSpec
 
 ROW_FORMAT = ",".join("%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS) + "\n"
@@ -525,6 +527,188 @@ def test_load_config_invalid_value_propagates(tmp_path):
         load_config(path)
 
 
+def reference_load_config(path):
+    """Reference route: load_config's checks over json.loads of the file read in text mode."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        data = json.loads(text, parse_constant=str)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(CONFIG_FIELDS) - {"sweep"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    cfg_kwargs = {}
+    for key in CONFIG_FIELDS:
+        if key not in data:
+            continue
+        value = data[key]
+        if key == "m_max":
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"m_max must be an integer, got {value!r}")
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        cfg_kwargs[key] = value
+    cfg = validate_config(DotConfig(**cfg_kwargs))
+    sweep_data = data.get("sweep", {})
+    if not isinstance(sweep_data, dict):
+        raise ConfigError("'sweep' must be a JSON object")
+    unknown = sorted(set(sweep_data) - {"x_min", "x_max", "steps", "ir"})
+    if unknown:
+        raise ConfigError(f"unknown sweep key(s): {', '.join(unknown)}")
+    for key in ("x_min", "x_max"):
+        if key in sweep_data and (
+            not isinstance(sweep_data[key], (int, float)) or isinstance(sweep_data[key], bool)
+        ):
+            raise ConfigError(f"sweep.{key} must be a number, got {sweep_data[key]!r}")
+    if "steps" in sweep_data and (
+        not isinstance(sweep_data["steps"], int) or isinstance(sweep_data["steps"], bool)
+    ):
+        raise ConfigError(f"sweep.steps must be an integer, got {sweep_data['steps']!r}")
+    if "ir" in sweep_data and not isinstance(sweep_data["ir"], bool):
+        raise ConfigError(f"sweep.ir must be a boolean, got {sweep_data['ir']!r}")
+    return cfg, SweepSpec(**sweep_data)
+
+
+def outcome(load, path):
+    """(cfg, spec) as loaded, or the error's type and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # validate_config's soft gamma_e warnings
+        try:
+            return load(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def assert_loads_like_json_loads(path, data: bytes):
+    path.write_bytes(data)
+    assert outcome(load_config, path) == outcome(reference_load_config, path)
+
+
+@pytest.mark.parametrize("data", [
+    b"{}",
+    b'{\r\n  "alpha_tilde": 2.5,\r\n  "sweep": {"steps": 7, "ir": true}\r\n}\r\n',
+    b'{\r\n  "alpha_tilde": ,\r\n}',  # CRLF: the same line and column
+    b'{\r  "alpha_tilde": 2.5,\r  "m_max":\r}',  # lone CR counts as a newline in text mode
+    b'{\n  "alpha_tilde": 2.5\n  "g_factor": 1.0\n}',
+    b'\xef\xbb\xbf{"alpha_tilde": 2.5}',  # UTF-8 BOM
+    b'\xef\xbb\xbf',
+    b'{"alpha_tilde": NaN}',
+    b'{"hyperfine_c": Infinity}',
+    b'{"hyperfine_c": -Infinity}',
+    b'{"hyperfine_c": 1e999}',
+    b'{"sweep": {"x_max": NaN}}',
+    b'{"m_max": 7.0}',
+    b'{"m_max": true}',
+    b'{"sweep": {"ir": 1}}',
+    b'{"sweep": {"steps": false}}',
+    b'{"alpha": 1, "beta": 2}',
+    b'{"sweep": {"dx": 0.1, "x_min": 1}}',
+    b'{"sweep": []}',
+    b'[1, 2]',
+    b'"text"',
+    b"",
+    b"   \n",
+    b'{"alpha_tilde": 2.5} {}',
+    b'{"alpha_tilde": "2.5"}',
+    b'{"alpha_tilde": 2.5, "alpha_tilde": -1}',
+    b'{"k\xc3\xa9y": 1}',
+    b'{"sweep": {"x_min": 2.0, "x_max": 1.0, "steps": 1}}',
+])
+def test_load_config_matches_json_loads_route(tmp_path, data):
+    assert_loads_like_json_loads(tmp_path / "cfg.json", data)
+
+
+def test_load_config_matches_json_loads_route_on_read_errors(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert outcome(load_config, path) == outcome(reference_load_config, path)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scratch")
+
+
+JSON_SCALARS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 40)
+                | st.booleans() | st.none() | st.text(max_size=3)
+                | st.sampled_from(["NaN", "Infinity", "-Infinity"]).map(json.dumps))
+CONFIG_KEYS = st.sampled_from([*CONFIG_FIELDS, "alpha", "Sweep"])
+SWEEP_KEYS = st.sampled_from(["x_min", "x_max", "steps", "ir", "dx"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=st.dictionaries(CONFIG_KEYS, JSON_SCALARS, max_size=4),
+    sweep=st.none() | st.dictionaries(SWEEP_KEYS, JSON_SCALARS, max_size=4) | JSON_SCALARS,
+    indent=st.sampled_from([None, 0, 2]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    bom=st.booleans(),
+    cut=st.none() | st.integers(0, 400),
+)
+def test_load_config_matches_json_loads_route_on_drawn_files(
+    scratch_dir, config, sweep, indent, newline, bom, cut
+):
+    if sweep is not None:
+        config["sweep"] = sweep
+    text = json.dumps(config, indent=indent)
+    # the constants were drawn as JSON strings; unquote them into bare literals
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        text = text.replace(json.dumps(json.dumps(constant)), constant)
+    text = ("\ufeff" if bom else "") + text.replace("\n", newline)[:cut]
+    assert_loads_like_json_loads(scratch_dir / "cfg.json", text.encode("utf-8"))
+
+
+def reference_manifest_bytes(cfg, spec, paths) -> bytes:
+    """manifest.json as dataclasses.asdict serialized it."""
+    manifest = RunManifest(
+        config=dataclasses.asdict(cfg),
+        grid=dataclasses.asdict(spec),
+        outputs=[{"path": p.name, "sha256": p.sha256} for p in paths],
+    )
+    return (json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n").encode()
+
+
+def written(name, digest):
+    path = WrittenPath(name)
+    path.sha256 = digest
+    return path
+
+
+def test_manifest_bytes_match_asdict_route(tmp_path, default_cfg, default_sweep):
+    paths = [write_csv(default_sweep, tmp_path / "sweep.csv"),
+             emit_svg(default_sweep, "shift", tmp_path / "shift.svg")]
+    out = write_manifest(build_manifest(default_cfg, SweepSpec(), paths), tmp_path / "m.json")
+    assert out.read_bytes() == reference_manifest_bytes(default_cfg, SweepSpec(), paths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.floats(), min_size=7, max_size=7),
+    m_max=st.integers(-(2**70), 2**70),
+    x_min=st.floats(allow_nan=False, allow_infinity=False),
+    x_max=st.floats(allow_nan=False, allow_infinity=False),
+    steps=st.integers(-5, 10**6),
+    ir=st.booleans(),
+    names=st.lists(st.text(max_size=8), max_size=3),
+)
+def test_manifest_bytes_match_asdict_route_on_drawn_configs(
+    scratch_dir, values, m_max, x_min, x_max, steps, ir, names
+):
+    floats = [name for name in CONFIG_FIELDS if name != "m_max"]
+    cfg = DotConfig(**dict(zip(floats, values)), m_max=m_max)
+    spec = SweepSpec(x_min, x_max, steps, ir)
+    paths = [written(name, hashlib.sha256(name.encode()).hexdigest()) for name in names]
+    out = write_manifest(build_manifest(cfg, spec, paths), scratch_dir / "manifest.json")
+    assert out.read_bytes() == reference_manifest_bytes(cfg, spec, paths)
+
+
 def test_manifest_digests_match_bytes(tmp_path, default_cfg, default_sweep):
     csv_path = write_csv(default_sweep, tmp_path / "sweep.csv")
     svg_path = emit_svg(default_sweep, "shift", tmp_path / "shift.svg")
@@ -534,8 +718,8 @@ def test_manifest_digests_match_bytes(tmp_path, default_cfg, default_sweep):
     assert data["config"]["hyperfine_c"] == 60.0
     assert data["grid"]["steps"] == 500
     by_name = {entry["path"]: entry["sha256"] for entry in data["outputs"]}
-    assert by_name["sweep.csv"] == sha256_of(csv_path)
-    assert by_name["shift.svg"] == sha256_of(svg_path)
+    assert by_name["sweep.csv"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert by_name["shift.svg"] == hashlib.sha256(svg_path.read_bytes()).hexdigest()
 
 
 @settings(max_examples=100, deadline=None)
