@@ -137,8 +137,12 @@ def _g9_cells(v: np.ndarray, slots: np.ndarray, keep: np.ndarray, work: np.ndarr
     zero = flat == 0.0
     d[zero | ~ok] = 0.0
     x[zero] = 0  # "0" is a one-digit integer
-    hi, lo = np.divmod(d.astype(np.int32), 10000)
-    first, mid = np.divmod(hi, 10000)
+    # q = d // c and d - q c: exact, and several times faster than np.divmod on int32
+    d = d.astype(np.int32)
+    hi = d // 10000
+    lo = d - hi * 10000
+    first = hi // 10000
+    mid = hi - first * 10000
     kept = 9 - zeros.take(lo) - (lo == 0) * zeros.take(mid)  # first >= 1 unless D = 0
     x -= _X_MIN
     shape = x * 40 + kept * 4 + np.signbit(flat)
@@ -152,13 +156,16 @@ def _g9_cells(v: np.ndarray, slots: np.ndarray, keep: np.ndarray, work: np.ndarr
     np.left_shift(raw.take(mid, out=digits, mode="clip"), np.uint64(8), out=digits)
     digits |= np.left_shift(tmp, np.uint64(40), out=tmp)  # d9 shifts out
     np.bitwise_or(digits, first, out=digits, dtype=np.uint64, casting="unsafe")  # d1..d8
+    # the digit bits of each slot word are gathered in a contiguous array, then or-ed in once
+    np.left_shift(ninth, ninth_shift.take(x, out=tmp, mode="clip"), out=ninth)
     np.bitwise_and(digits, before.take(x, out=head, mode="clip"), out=head)  # before the gap
     digits ^= head  # and after it
-    w[:, 0] |= np.left_shift(head, shift.take(x, out=tmp, mode="clip"), out=tmp)
-    w[:, 1] |= np.right_shift(head, back.take(x, out=tmp, mode="clip"), out=tmp)
-    w[:, 0] |= np.left_shift(digits, np.uint64(16), out=head)
-    w[:, 1] |= np.right_shift(digits, np.uint64(48), out=head)
-    w[:, 1] |= np.left_shift(ninth, ninth_shift.take(x, out=tmp, mode="clip"), out=tmp)
+    ninth |= np.right_shift(head, back.take(x, out=tmp, mode="clip"), out=tmp)
+    ninth |= np.right_shift(digits, np.uint64(48), out=tmp)
+    w[:, 1] |= ninth
+    np.left_shift(head, shift.take(x, out=tmp, mode="clip"), out=head)
+    head |= np.left_shift(digits, np.uint64(16), out=digits)
+    w[:, 0] |= head
     return ok.reshape(v.shape)
 
 
@@ -182,12 +189,12 @@ def g9_rows(columns: Sequence[np.ndarray], row_format: str) -> Iterator[bytes]:
         n = len(cells)
         mask = keep[:n]
         ok = _g9_cells(cells, slots[:n], mask, work[:, :cells.size])
+        if ok.all():  # no foreign row, so no per-row scan
+            yield slots[:n].view(np.uint8)[mask].tobytes()
+            continue
         foreign = np.flatnonzero(~ok.all(axis=1))
         mask[foreign] = False
         packed = slots[:n].view(np.uint8)[mask]
-        if not foreign.size:
-            yield packed.tobytes()
-            continue
         ends = np.cumsum(mask.sum(axis=(1, 2)))
         done = 0
         for i in foreign.tolist():
@@ -206,7 +213,8 @@ def f2_point_runs(u: np.ndarray, v: np.ndarray, bounds: Sequence[int]) -> list[b
     uv = np.stack([u, v], axis=1).astype(float, copy=False)
     quad = _tables()[0]
     d = _round_product(uv.ravel(), 100.0).astype(np.int32).reshape(uv.shape)
-    whole, cents = np.divmod(d, 100)
+    whole = d // 100
+    cents = d - whole * 100
     digits = (whole >= 10).astype(np.int8) + (whole >= 100) + (whole >= 1000) + (whole >= 10000)
     # bytes: 3 "1" of 10000, 4-7 the last four integer digits, 8 ".", 9-10 cents, 11 separator
     words = np.empty(uv.shape + (3,), dtype="<u4")

@@ -7,6 +7,16 @@ Subcommands:
   gate         Hadamard check and conditional-CNOT fidelity demo
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+
+Dispatch: when the first argument names a command, main parses the rest with
+that command's own parser and records the name as args.command.  Going
+through the top-level parser would give the same namespace, but it first
+classifies every argument and matches the subcommand pattern, and then the
+command's parser reads the same arguments again.  Everything else (no
+arguments, -h/--help, an unknown command, anything placed before the
+command) goes through the top-level parser, which owns the overall help and
+the usage errors.  Both routes end in the same parsers, whose error() raises
+ConfigError, so the output and exit code of every argv stay the same.
 """
 
 from __future__ import annotations
@@ -42,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The dotnmr argument parser, built on first use and shared by later calls."""
+def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own parser by name, built once."""
     parser = _Parser(prog="dotnmr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -74,7 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="state-dependent shift J, MHz")
     p_gate.add_argument("--rabi-over-j", type=float, default=0.05,
                         help="pulse selectivity ratio")
-    return parser
+    return parser, {"sweep": p_sweep, "transitions": p_tr, "nmr": p_nmr, "gate": p_gate}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The dotnmr argument parser, built on first use and shared by later calls."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would parse it, by the shorter route if any."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _load(args) -> tuple[DotConfig, SweepSpec]:
@@ -207,9 +233,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -70,11 +70,14 @@ def require_hermitian(h) -> np.ndarray:
     """Validate and return h as a finite square float or complex array, dim <= 16."""
     a = _square(h)
     scale = float(np.abs(a).max())
-    # a real matrix needs no conj; a non-finite one is not subtracted (inf - inf warns)
-    mismatch = (
-        float(np.abs(a - (a.conj().T if a.dtype.kind == "c" else a.T)).max())
-        if math.isfinite(scale) else math.nan
-    )
+    # a non-finite matrix is not subtracted (inf - inf warns); for a real one H - H^T
+    # is exactly antisymmetric, so its max is max|H - H^T| without the abs
+    if not math.isfinite(scale):
+        mismatch = math.nan
+    elif a.dtype.kind == "c":
+        mismatch = float(np.abs(a - a.conj().T).max())
+    else:
+        mismatch = float((a - a.T).max())
     _check_hermitian(scale, mismatch)
     return a
 
@@ -110,6 +113,9 @@ def hermitian_eig(h) -> EigenSystem:
     rows = np.abs(vectors).argmax(axis=0)
     cols = np.arange(values.shape[0])
     pivots = vectors[rows, cols]
+    if vectors.dtype.kind == "f":  # the phase is sign(p), and p sign(p) = |p| exactly
+        vectors *= np.sign(pivots)
+        return EigenSystem(values, vectors)
     mags = np.abs(pivots)
     vectors *= pivots.conj() / mags
     vectors[rows, cols] = mags  # no rounding residue in the pivots

@@ -127,7 +127,9 @@ def build_spin_matrix(
     require_finite_non_negative("a_mhz", a_mhz)
     require_finite_non_negative("b_tesla", b_tesla)
     coupling, i_z, s_z = _spin_operators(s_total)
-    h = a_mhz * coupling - cfg.gamma_n * b_tesla * i_z + cfg.gamma_e * b_tesla * s_z
+    h = a_mhz * coupling  # then in place, in the order of a C - gn b Iz + ge b Sz
+    h -= cfg.gamma_n * b_tesla * i_z
+    h += cfg.gamma_e * b_tesla * s_z
     return SpinMatrix(matrix=h, labels=spin_basis(s_total))
 
 

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
-from dotnmr import magic_transitions
+from dotnmr import ConfigError, cli, magic_transitions
 from dotnmr.cli import main
 
 
@@ -242,3 +243,101 @@ def test_bad_point_query_flag_exits_1_before_printing(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
+
+
+# argv for both parse routes: a command first takes its own parser, anything else
+# the top-level one; dev.json and out/ are relative to the test's directory
+_ARGV_TABLE = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["bogus", "--x", "0.45"],
+    ["NMR", "--x", "0.45"],
+    ["nm", "--x", "0.45"],
+    ["--config", "dev.json", "nmr", "--x", "0.45"],
+    ["-h", "nmr"],
+    ["nmr", "--x", "0.45"],
+    ["nmr", "--x", "1.3", "--ir", "--config", "dev.json"],
+    ["nmr", "--con", "dev.json", "--x", "0.45"],
+    ["nmr", "--x=0.45", "--ir", "--ir"],
+    ["nmr", "--x", "0.45", "--x", "1.3"],
+    ["nmr", "--x=-1"],
+    ["nmr", "--x", "-1"],
+    ["nmr", "--x", "abc"],
+    ["nmr", "--x"],
+    ["nmr"],
+    ["nmr", "--x-m", "1"],
+    ["nmr", "-x", "1"],
+    ["nmr", "--x", "0.45", "extra"],
+    ["nmr", "--x", "0.45", "--", "extra"],
+    ["nmr", "--", "--x", "0.45"],
+    ["nmr", "-h"],
+    ["nmr", "--help", "--bogus"],
+    ["nmr", "nmr", "--x", "0.45"],
+    ["transitions"],
+    ["transitions", "--x-min", "0.1", "--x-max", "3", "--config", "dev.json"],
+    ["transitions", "--x-m", "1"],
+    ["transitions", "--x-max=-1"],
+    ["transitions", "--help"],
+    ["sweep", "--steps", "40", "--svg", "--out-dir", "out"],
+    ["sweep", "--config", "dev.json", "--ir", "--svg", "--out-dir", "out"],
+    ["sweep", "--steps", "1.5", "--out-dir", "out"],
+    ["sweep", "--st", "30", "--x-min", "0.2", "--x-max", "2", "--out-dir", "out"],
+    ["sweep", "--s", "30"],
+    ["sweep", "--bogus-flag"],
+    ["sweep", "-h"],
+    ["gate", "--rabi-over-j", "0.1", "--f-a", "17", "--f-b=18", "--j-coupling", "0.002"],
+    ["gate", "--f-a", "-1"],
+    ["gate", "--j-coupling", "nan"],
+    ["gate", "--rabi", "3"],
+    ["gate", "--f", "17"],
+    ["gate", "-h"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """What parse makes of argv: the namespace, the usage error or the help exit, with output."""
+    try:
+        result = ("args", repr(sorted(vars(parse(argv)).items())))  # nan equal to nan
+    except ConfigError as exc:
+        result = ("config error", str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (*result, *capsys.readouterr())
+
+
+def _ran(argv, capsys):
+    """main's exit code (or help exit), stdout and stderr for argv."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _ARGV_TABLE, ids=" ".join)
+def test_command_parser_route_matches_the_top_level_parser(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dev.json").write_text('{"alpha_tilde": 3.0, "sweep": {"steps": 40}}')
+    top_level = cli.build_parser().parse_args
+    assert _parsed(cli._parse, argv, capsys) == _parsed(top_level, argv, capsys)
+    got = _ran(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", top_level)
+    assert got == _ran(argv, capsys)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    assert main(["nmr", "--x", "0.45"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["dotnmr", "nmr", "--x", "0.45"])
+    assert main() == 0
+    assert capsys.readouterr() == want
+    monkeypatch.setattr(sys, "argv", ["dotnmr"])
+    assert main(None) == 1
+    assert capsys.readouterr().err == (
+        "config error: the following arguments are required: command\n"
+    )
+    monkeypatch.setattr(sys, "argv", ["dotnmr", "bogus"])
+    assert main() == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err

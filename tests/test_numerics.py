@@ -263,6 +263,68 @@ def test_hermitian_eig_keeps_a_real_matrix_real():
     assert np.all(pivots > 0.0)
 
 
+def _phase_formula_eig(h):
+    """eigh with the complex phase convention: each column times conj(p) / |p|, p set to |p|.
+
+    p is the column's first entry of largest magnitude.
+    """
+    values, vectors = np.linalg.eigh(h)
+    rows = np.abs(vectors).argmax(axis=0)
+    cols = np.arange(values.shape[0])
+    pivots = vectors[rows, cols]
+    mags = np.abs(pivots)
+    vectors *= pivots.conj() / mags
+    vectors[rows, cols] = mags
+    return values, vectors
+
+
+@st.composite
+def real_matrices(draw, symmetric=True):
+    """Real n x n matrices, n in 1..16, with ties in the eigenvectors' largest entries.
+
+    Small integer entries make ties likely.  A mirror-symmetric matrix
+    (h[i, j] = h[n-1-i, n-1-j]) has eigenvectors that are even or odd under
+    the mirror, so an odd one has equal largest entries of opposite sign.
+    """
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = rng.integers(-2, 3, size=(n, n)).astype(float)
+    else:
+        m = rng.normal(size=(n, n)) * 10.0 ** draw(st.integers(-6, 6))
+    h = np.tril(m) + np.tril(m, -1).T
+    if draw(st.booleans()):
+        h = h + h[::-1, ::-1]
+    if not symmetric:  # one entry moved by a relative step on either side of the tolerance
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        step = draw(st.sampled_from([0.0, 5e-13, 2e-12, 1e-6, 1.0]))
+        h[i, j] += step * max(float(np.abs(h).max()), 1.0) * draw(st.sampled_from([-1.0, 1.0]))
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_matrices())
+def test_hermitian_eig_real_route_matches_the_phase_formula_bitwise(h):
+    values, vectors = _phase_formula_eig(h)
+    es = hermitian_eig(h)
+    assert es.vectors.dtype == np.float64
+    assert es.values.tobytes() == values.tobytes()
+    assert es.vectors.tobytes() == vectors.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_matrices(symmetric=False))
+def test_require_hermitian_real_mismatch_is_max_abs_of_h_minus_its_transpose(h):
+    scale = float(np.abs(h).max())
+    mismatch = float(np.abs(h - h.T).max())
+    want = None
+    if mismatch > 1e-12 * max(scale, 1e-300):
+        want = (NonHermitianError,
+                f"matrix is not Hermitian: max |H - H^dag| = {mismatch:.3e} "
+                f"exceeds 1e-12 * max|H| = {1e-12 * scale:.3e}")
+    assert _error(require_hermitian, h) == want
+
+
 def test_evolve_dimension_mismatch():
     with pytest.raises(ValueError):
         evolve(np.zeros((2, 2)), np.array([1.0, 0.0, 0.0], dtype=complex), 1.0)
