@@ -56,7 +56,6 @@ from .spectrum import (
 from .spin_hamiltonian import (
     NmrResult,
     SpinBasisLabel,
-    SpinMatrix,
     build_spin_matrix,
     nmr_closed_form,
     nmr_numeric,

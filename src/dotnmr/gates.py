@@ -4,7 +4,8 @@ Computational basis |0>, |1> is nuclear spin up/down.  Single-qubit gates are
 rotating-frame, rotating-wave-approximation propagators; a resonant pulse of
 duration 1/(2*rabi) is a pi rotation.  Pulses and rotations are the SU(2)
 closed form numerics.spin_half_propagator, the one evolve uses for 2x2
-Hamiltonians.  Every pulse and model field must be finite.
+Hamiltonians.  Every pulse and model field must be a finite real number; a
+bool is refused by field name, as rwa_pulse refuses a bool frequency.
 
 Two coupled dots are modelled by a static state-dependent resonance shift:
 driving one qubit, its transition sits at f -/+ J when the other qubit is in
@@ -13,12 +14,16 @@ inter-dot mechanism is deliberately not modelled here.  A selective pi pulse
 at the control-|1> branch frequency realizes CNOT; the deterministic local
 phases it accrues are removed by the best single-qubit Z corrections, whose
 overlap with CNOT is a closed form in two entries of the pulse, before the
-fidelity is reported.
+fidelity is reported.  A CNOT therefore pays for the pulse's two SU(2)
+branches and nothing else: it reads those entries, and the spectator's
+residual excitation, from the branch entries that rwa_pulse places into its
+4x4, without building the 4x4.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -26,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateModelError
-from .numerics import spin_half_propagator
+from .numerics import _spin_half_entries, spin_half_propagator
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -35,11 +40,21 @@ CNOT = np.array(
 UNITARITY_TOL = 1e-9
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _require_finite_fields(obj) -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    """Each field must be a finite real number; a bool is refused by name."""
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
         if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -116,31 +131,40 @@ def rwa_pulse(model, pulse: PulseSpec, target: int = 0) -> np.ndarray:
     block is the generalized Rabi precession exp(-i 2pi (d Sz + rabi S_phase) t)
     at detuning d = f - carrier.
     """
-    # rabi S_phase = [[0, b], [b*, 0]] with b = rabi e^{-i phase} / 2
-    b = cmath.rect(0.5 * pulse.rabi, -pulse.phase)
     if not isinstance(model, TwoQubitModel):
         if not isinstance(model, numbers.Real) or isinstance(model, bool):
             raise TypeError(f"model must be a frequency or TwoQubitModel, got {type(model)}")
         if not math.isfinite(model):
             raise ValueError(f"model frequency must be finite, got {model}")
-        return spin_half_propagator(0.5 * (float(model) - pulse.carrier), b, pulse.duration)
+        return spin_half_propagator(
+            0.5 * (float(model) - pulse.carrier), _drive(pulse), pulse.duration
+        )
+    (u00, u01, u10, u11), (v00, v01, v10, v11) = _branch_entries(model, pulse, target)
+    if target == 1:  # qubit a selects the block
+        rows = [[u00, u01, 0, 0], [u10, u11, 0, 0], [0, 0, v00, v01], [0, 0, v10, v11]]
+    else:  # qubit b selects the interleaved rows and columns
+        rows = [[u00, 0, u01, 0], [0, v00, 0, v01], [u10, 0, u11, 0], [0, v10, 0, v11]]
+    return np.array(rows, dtype=complex)
+
+
+def _drive(pulse: PulseSpec) -> complex:
+    """b of rabi S_phase = [[0, b], [b*, 0]]: b = rabi e^{-i phase} / 2."""
+    return cmath.rect(0.5 * pulse.rabi, -pulse.phase)
+
+
+def _branch_entries(model, pulse: PulseSpec, target: int):
+    """The two SU(2) blocks of rwa_pulse(model, pulse, target), as entry 4-tuples.
+
+    The first block acts while the non-driven qubit is in |0> (transition at
+    f - J), the second while it is in |1> (f + J); each is the
+    (u00, u01, u10, u11) of numerics.spin_half_propagator.
+    """
     if target not in (0, 1):
         raise ValueError(f"target must be 0 (qubit a) or 1 (qubit b), got {target}")
-
     f_target = model.f_a if target == 0 else model.f_b
-    branches = []
-    for other in (0, 1):  # state of the non-driven qubit
-        detuning = (f_target + (2 * other - 1) * model.j_coupling) - pulse.carrier
-        branches.append(spin_half_propagator(0.5 * detuning, b, pulse.duration))
-
-    u = np.zeros((4, 4), dtype=complex)
-    if target == 1:
-        u[:2, :2] = branches[0]
-        u[2:, 2:] = branches[1]
-    else:
-        u[0::2, 0::2] = branches[0]
-        u[1::2, 1::2] = branches[1]
-    return u
+    j, b, t = model.j_coupling, _drive(pulse), pulse.duration
+    return (_spin_half_entries(0.5 * ((f_target - j) - pulse.carrier), b, t),
+            _spin_half_entries(0.5 * ((f_target + j) - pulse.carrier), b, t))
 
 
 def _require_unitary(u: np.ndarray, name: str) -> np.ndarray:
@@ -177,6 +201,8 @@ def cnot_conditional(model: TwoQubitModel, rabi_over_j: float) -> GateReport:
     peaks at 2 max|a -/+ i b| = 2 sqrt(|a|^2 + |b|^2 + 2 |Im(a b*)|).  The
     uncorrected fidelity is gate_fidelity(rwa_pulse(model, pulse, 1), CNOT).
     """
+    if not isinstance(model, TwoQubitModel):
+        raise TypeError(f"model must be a TwoQubitModel, got {type(model)}")
     if model.j_coupling == 0.0:
         raise DegenerateModelError(
             "j_coupling = 0: branches coincide, conditional drive impossible"
@@ -185,17 +211,20 @@ def cnot_conditional(model: TwoQubitModel, rabi_over_j: float) -> GateReport:
         raise ValueError(f"rabi_over_j must be in (0, 2], got {rabi_over_j}")
 
     rabi = rabi_over_j * abs(model.j_coupling)
+    if rabi == 0.0:
+        raise ValueError(f"rabi = rabi_over_j * |j_coupling| underflows to 0 "
+                         f"for rabi_over_j = {rabi_over_j}, j_coupling = {model.j_coupling}")
     pulse = PulseSpec(
         carrier=model.f_b + model.j_coupling,
         rabi=rabi,
         phase=0.0,
         duration=1.0 / (2.0 * rabi),
     )
-    u = rwa_pulse(model, pulse, target=1)
-    residual = float(max(abs(u[0, 1]) ** 2, abs(u[1, 0]) ** 2))
-    a, b = complex(u[0, 0]), complex(u[2, 3])
+    # U[0,0] and U[0,1] of the spectator branch, U[2,3] of the driven one; the
+    # spectator's |U[0,1]| and |U[1,0]| are equal, so either is its residual
+    (a, u01, _, _), (_, b, _, _) = _branch_entries(model, pulse, target=1)
     overlap = 4.0 * max(abs(a + 1j * b), abs(a - 1j * b)) ** 2
     return GateReport(
         fidelity=(overlap + 4.0) / 20.0,
-        residual_offresonant_population=residual,
+        residual_offresonant_population=abs(u01) ** 2,
     )

@@ -2,27 +2,41 @@
 
 All matrices here are small (dim <= 16) real or complex numpy arrays with
 entries in MHz; a real input stays real.  The eigendecomposition is LAPACK's
-Hermitian solver (numpy.linalg.eigh); hermitian_eig then fixes each
-eigenvector's phase so that its largest-magnitude component is real and
-positive (a sign, for a real matrix), which makes repeated calls bitwise
-identical.  Kets are plain complex vectors normalized to 1.
+Hermitian solver, called as numpy.linalg.eigh calls it; hermitian_eig then
+fixes each eigenvector's phase so that its largest-magnitude component is
+real and positive (a sign, for a real matrix), which makes repeated calls
+bitwise identical.  Kets are plain complex vectors normalized to 1.
+
+At these sizes a call pays mostly for numpy's fixed cost per operation, so
+each input is converted and shape-checked once (_square, which leaves a
+float64 or complex128 array as it is) and checked Hermitian once, and _eigh
+calls the LAPACK gufunc behind numpy.linalg.eigh directly, under the error
+state eigh sets, without the wrapper's dtype and shape handling that
+_square has already done.  Tests pin its bytes to numpy.linalg.eigh's.  For
+the real 6x6 of spin_hamiltonian.nmr_numeric, in a tight loop, the gufunc
+takes ~3 us (LAPACK's dsyevd ~2 us of it) and the error state ~2 us, where
+numpy.linalg.eigh takes ~7-9 us; the Hermitian check (~6 us) and the sign
+convention (~4 us, its column indices from a table built once per
+dimension) cost about as much again.
 
 A spin-1/2 needs no eigensolver: spin_half_propagator is the SU(2) closed
 form exp(-i 2 pi K t) of a traceless 2x2 Hermitian K, and gates builds its
-RF pulses and rotations from it.  evolve checks and steps a 2x2 H on its
-four entries as Python numbers, by require_hermitian's rule and with its
-errors, since numpy's fixed cost per call would outweigh the arithmetic;
-larger matrices go through require_hermitian and eigh, whose eigenvector
-phases cancel in V exp(-i 2 pi lambda t) V^dag.
+RF pulses and rotations from its entries.  evolve checks and steps a 2x2 H
+on its four entries as Python numbers, by require_hermitian's rule and with
+its errors, since numpy's fixed cost per call would outweigh the
+arithmetic; larger matrices get require_hermitian's array check and go
+through _eigh, whose eigenvector phases cancel in V exp(-i 2 pi lambda t) V^dag.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg  # the gufunc behind eigh, see _eigh
 
 from .errors import NonHermitianError
 
@@ -40,10 +54,22 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+@functools.cache
+def _columns(n: int) -> np.ndarray:
+    """Read-only column indices 0..n-1, built once per dimension for hermitian_eig."""
+    cols = np.arange(n)
+    cols.flags.writeable = False
+    return cols
+
+
 def _square(h) -> np.ndarray:
     """h as a float or complex array, checked square with dim in [1, MAX_DIM]."""
     a = np.asarray(h)
-    a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
+    if a.dtype is not _FLOAT and a.dtype is not _COMPLEX:  # convert only what is not
+        a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -69,6 +95,12 @@ def _check_hermitian(scale: float, mismatch: float) -> None:
 def require_hermitian(h) -> np.ndarray:
     """Validate and return h as a finite square float or complex array, dim <= 16."""
     a = _square(h)
+    _check_hermitian_array(a)
+    return a
+
+
+def _check_hermitian_array(a: np.ndarray) -> None:
+    """require_hermitian's rule on an array that _square has already returned."""
     scale = float(np.abs(a).max())
     # a non-finite matrix is not subtracted (inf - inf warns); for a real one H - H^T
     # is exactly antisymmetric, so its max is max|H - H^T| without the abs
@@ -79,7 +111,22 @@ def require_hermitian(h) -> np.ndarray:
     else:
         mismatch = float((a - a.T).max())
     _check_hermitian(scale, mismatch)
-    return a
+
+
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(a: np.ndarray):
+    """numpy.linalg.eigh(a) for an array that _square has returned.
+
+    The same LAPACK call (?syevd or ?heevd on the lower triangle, through the
+    gufunc numpy.linalg.eigh wraps) under the same error state, without the
+    wrapper's dtype and shape handling that _square has already done.
+    """
+    with np.errstate(call=_raise_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
 
 
 def _check_hermitian_2x2(h00, h01, h10, h11) -> None:
@@ -109,9 +156,9 @@ def hermitian_eig(h) -> EigenSystem:
     repeated calls are bitwise identical.  A real matrix gets real
     eigenvectors, whose convention is a sign.
     """
-    values, vectors = np.linalg.eigh(require_hermitian(h))
+    values, vectors = _eigh(require_hermitian(h))
     rows = np.abs(vectors).argmax(axis=0)
-    cols = np.arange(values.shape[0])
+    cols = _columns(values.shape[0])
     pivots = vectors[rows, cols]
     if vectors.dtype.kind == "f":  # the phase is sign(p), and p sign(p) = |p| exactly
         vectors *= np.sign(pivots)
@@ -125,7 +172,8 @@ def hermitian_eig(h) -> EigenSystem:
 def _spin_half_entries(z: float, b: complex, t: float) -> tuple[complex, ...]:
     """(u00, u01, u10, u11) of spin_half_propagator(z, b, t), as Python complexes.
 
-    Raises ValueError when |K| or the phase 2 pi |K| t overflows.
+    Raises ValueError when |K|, the phase 2 pi |K| t or sin(2 pi |K| t) / |K|
+    overflows; the last needs a subnormal |K| and t above ~1e307.
     """
     r = math.hypot(z, b.real, b.imag)
     theta = 2.0 * math.pi * r * t
@@ -134,6 +182,9 @@ def _spin_half_entries(z: float, b: complex, t: float) -> tuple[complex, ...]:
                          f"for |K| = {r}, t = {t}")
     c = math.cos(theta)
     s = math.sin(theta) / r if r else 0.0
+    if not math.isfinite(s):
+        raise ValueError(f"propagator overflows: sin(2 pi |K| t) / |K| = {s} "
+                         f"for |K| = {r}, t = {t}")
     sb = s * b
     return (complex(c, -s * z), complex(sb.imag, -sb.real),
             complex(-sb.imag, -sb.real), complex(c, s * z))
@@ -167,13 +218,13 @@ def evolve(h, psi, t: float) -> np.ndarray:
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if np.shape(h) == (2, 2):
-        a = _square(h)
+    a = _square(h)
+    n = a.shape[0]
+    if n == 2:
         (h00, h01), (h10, h11) = a.tolist()
         _check_hermitian_2x2(h00, h01, h10, h11)
     else:
-        a = require_hermitian(h)
-    n = a.shape[0]
+        _check_hermitian_array(a)
     state = np.asarray(psi, dtype=complex)
     if state.shape != (n,):
         raise ValueError(
@@ -189,7 +240,7 @@ def evolve(h, psi, t: float) -> np.ndarray:
         )
         phase = cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t)
         return np.array([phase * (u00 * p0 + u01 * p1), phase * (u10 * p0 + u11 * p1)])
-    values, vectors = np.linalg.eigh(a)
+    values, vectors = _eigh(a)
     phases = np.exp(-2j * math.pi * values * t)
     return vectors @ (phases * (vectors.conj().T @ state))
 

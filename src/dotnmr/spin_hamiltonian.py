@@ -15,11 +15,17 @@ flips: from the stretched state |-;1,-1> to the F_z = -1/2 eigenstate
     f = 3A/2 + (gamma_n - gamma_e) B / 2
         + sqrt( (A + (gamma_n + gamma_e) B)^2 + 8 A^2 ) / 2,
 
-which nmr_numeric must reproduce from the full 6x6 diagonalization.
+which nmr_numeric must reproduce from the full 6x6 diagonalization.  The
+numeric route deliberately ignores the F_z blocks: it is the independent
+check of the closed form, which is derived from them.
 
 The labeled basis and the three operator matrices over it (the coupling
 I+ S- + I- S+ + 2 Iz Sz, Iz and Sz) are built once per S and kept read-only,
-so build_spin_matrix only scales them by A, gamma_n B and gamma_e B.
+so build_spin_matrix only scales them by A, gamma_n B and gamma_e B and
+returns the bare real symmetric array, its rows and columns in spin_basis(S)
+order.  A resonance then pays for that assembly, one hermitian_eig (mostly
+numpy's fixed cost per operation around a ~2 us LAPACK solve; see numerics)
+and a selection on Python floats.
 """
 
 from __future__ import annotations
@@ -58,14 +64,6 @@ class SpinBasisLabel:
     @property
     def f_z(self) -> float:
         return self.i_z + self.s_z
-
-
-@dataclass(frozen=True)
-class SpinMatrix:
-    """Real symmetric spin Hamiltonian (MHz) over an explicitly labeled basis."""
-
-    matrix: np.ndarray
-    labels: tuple[SpinBasisLabel, ...]
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ def _spin_operators(s_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def build_spin_matrix(
     a_mhz: float, b_tesla: float, cfg: DotConfig, s_total: int
-) -> SpinMatrix:
-    """Assemble the spin Hamiltonian in MHz over the labeled basis.
+) -> np.ndarray:
+    """The real symmetric spin Hamiltonian in MHz, rows and columns over spin_basis(S).
 
     Triplet: full 6x6 with the flip-flop and Iz Sz terms.  Singlet electrons
     are uncoupled, leaving a 2x2 nuclear Zeeman matrix.
@@ -130,7 +128,7 @@ def build_spin_matrix(
     h = a_mhz * coupling  # then in place, in the order of a C - gn b Iz + ge b Sz
     h -= cfg.gamma_n * b_tesla * i_z
     h += cfg.gamma_e * b_tesla * s_z
-    return SpinMatrix(matrix=h, labels=spin_basis(s_total))
+    return h
 
 
 def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
@@ -164,10 +162,9 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     eigenvectors and both mixing amplitudes are real.  The selection runs on
     Python floats: the F_z = -1/2 pair is the last two of a stable sort by
     weight on |+;1,-1> and |-;1,0>, and ties for the stretched state go to
-    the first eigenvector.
+    the first eigenvector.  The eigenvalues are read once, as floats.
     """
-    sm = build_spin_matrix(a_mhz, b_tesla, cfg, s_total=1)
-    values, vectors = hermitian_eig(sm.matrix)
+    values, vectors = hermitian_eig(build_spin_matrix(a_mhz, b_tesla, cfg, s_total=1))
     rows = vectors.tolist()
     flip, keep, stretched = rows[_I_FLIP], rows[_I_KEEP], rows[_I_STRETCHED]
     pair = [f * f + k * k for f, k in zip(flip, keep)]
@@ -182,12 +179,12 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     low = [v * v for v in stretched]
     j_low = low.index(max(low))
 
-    c1, c2 = flip[j_psi], keep[j_psi]
+    energies = values.tolist()
     return NmrResult(
-        f_nmr=float(values[j_low] - values[j_psi]),
+        f_nmr=energies[j_low] - energies[j_psi],
         f_closed=nmr_closed_form(a_mhz, b_tesla, cfg),
-        c1=c1,
-        c2=c2,
+        c1=flip[j_psi],
+        c2=keep[j_psi],
         f0=nuclear_larmor_mhz(cfg, b_tesla),
     )
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from dotnmr import (
@@ -71,6 +73,28 @@ def test_pulse_spec_validation():
 def test_pulse_spec_rejects_non_finite_fields_by_name(field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
         PulseSpec(**{"carrier": 1.0, "rabi": 1.0, "duration": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("field", ["carrier", "rabi", "phase", "duration"])
+@pytest.mark.parametrize("bad", [True, False, np.True_, "1.0", 1j])
+def test_pulse_spec_refuses_non_real_fields_by_name(field, bad):
+    want = f"^{field} must be a real number, got {type(bad).__name__}$"
+    with pytest.raises(TypeError, match=want):
+        PulseSpec(**{"carrier": 1.0, "rabi": 1.0, "duration": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("field", ["f_a", "f_b", "j_coupling"])
+@pytest.mark.parametrize("bad", [True, False, np.True_, "1.0", 1j])
+def test_two_qubit_model_refuses_non_real_fields_by_name(field, bad):
+    want = f"^{field} must be a real number, got {type(bad).__name__}$"
+    with pytest.raises(TypeError, match=want):
+        TwoQubitModel(**{"f_a": 15.0, "f_b": 12.0, "j_coupling": 0.001, field: bad})
+
+
+def test_numeric_fields_of_other_real_types_stay_accepted():
+    pulse = PulseSpec(carrier=np.float32(1.5), rabi=2, phase=np.int64(0), duration=0.25)
+    assert rwa_pulse(10.0, pulse).shape == (2, 2)
+    assert TwoQubitModel(f_a=np.float64(15.0), f_b=12, j_coupling=0).f_b == 12
 
 
 @pytest.mark.parametrize("field", ["f_a", "f_b", "j_coupling"])
@@ -272,6 +296,22 @@ def test_cnot_rejects_bad_ratio():
         cnot_conditional(model, 2.5)
 
 
+def test_cnot_rejects_a_model_that_is_not_a_two_qubit_model():
+    with pytest.raises(TypeError, match="^model must be a TwoQubitModel, got <class 'float'>$"):
+        cnot_conditional(17.4, 0.05)
+
+
+@pytest.mark.parametrize("ratio, error", [
+    (5e-324, "^rabi = rabi_over_j \\* \\|j_coupling\\| underflows to 0"),
+    (1e-310, "^duration must be finite, got inf$"),
+    (1e-307, "^propagator overflows: sin"),  # returned a NaN fidelity before
+])
+def test_cnot_names_a_pulse_too_weak_to_build(ratio, error):
+    model = TwoQubitModel(f_a=1.0, f_b=1.0, j_coupling=0.0625)
+    with pytest.raises(ValueError, match=error):
+        cnot_conditional(model, ratio)
+
+
 def selective_pi(model, rabi_over_j):
     """The pulse cnot_conditional applies: a pi pulse on the control-|1> branch of qubit b."""
     rabi = rabi_over_j * abs(model.j_coupling)
@@ -310,3 +350,25 @@ def test_cnot_conditional_matches_brute_force_mesh():
         got = 20.0 * cnot_conditional(model, ratio).fidelity - 4.0
         assert got >= mesh.max() - 1e-12
         assert abs(got + best.fun) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f_b=st.floats(1.0, 100.0),
+    j=st.floats(1e-5, 0.09).flatmap(lambda j: st.sampled_from((j, -j))),
+    ratio=st.one_of(st.just(2.0), st.floats(0.0, 2.0, exclude_min=True)),
+)
+def test_cnot_conditional_reads_the_entries_of_the_register_pulse(f_b, j, ratio):
+    # the report is exactly what the 4x4 of rwa_pulse gives: the corrected
+    # overlap from U[0,0] and U[2,3], the residual from U[0,1] and U[1,0]
+    model = TwoQubitModel(f_a=f_b, f_b=f_b, j_coupling=j)
+    try:
+        report = cnot_conditional(model, ratio)
+    except ValueError:  # a pulse too weak to build (test_cnot_names_a_pulse_too_weak_to_build)
+        assert min(ratio, ratio * abs(j)) < 1e-300
+        return
+    u = rwa_pulse(model, selective_pi(model, ratio), 1)
+    a, b = complex(u[0, 0]), complex(u[2, 3])
+    overlap = 4.0 * max(abs(a + 1j * b), abs(a - 1j * b)) ** 2
+    assert report.fidelity == (overlap + 4.0) / 20.0
+    assert report.residual_offresonant_population == max(abs(u[0, 1]) ** 2, abs(u[1, 0]) ** 2)

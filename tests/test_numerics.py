@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from dotnmr import (
     evolve,
     hermitian_eig,
 )
+from dotnmr import numerics
 from dotnmr.numerics import require_hermitian
 from dotnmr.spectrum import mu_m
 
@@ -238,6 +240,110 @@ def test_evolve_2x2_closed_form_matches_matrix_exponential(case):
     assert np.max(np.abs(evolve(h, psi, t) - want)) <= 1e-12
 
 
+def _evolve_reference(h, psi, t):
+    """evolve(h, psi, t) by a test-side copy of its arithmetic.
+
+    A 2x2 is the SU(2) closed form of its traceless part, read from the lower
+    triangle, times the trace phase; a larger H is V exp(-i 2 pi lambda t) V^dag
+    with V straight from eigh.
+    """
+    a = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
+    state = np.asarray(psi, dtype=complex)
+    if a.shape != (2, 2):
+        values, vectors = np.linalg.eigh(a)
+        return vectors @ (np.exp(-2j * math.pi * values * t) * (vectors.conj().T @ state))
+    (h00, _), (h10, h11) = a.tolist()
+    z, b = 0.5 * (h00.real - h11.real), h10.conjugate()
+    r = math.hypot(z, b.real, b.imag)
+    theta = 2.0 * math.pi * r * t
+    c, s = math.cos(theta), (math.sin(theta) / r if r else 0.0)
+    sb = s * b
+    u00, u01 = complex(c, -s * z), complex(sb.imag, -sb.real)
+    u10, u11 = complex(-sb.imag, -sb.real), complex(c, s * z)
+    p0, p1 = state.tolist()
+    phase = cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t)
+    return np.array([phase * (u00 * p0 + u01 * p1), phase * (u10 * p0 + u11 * p1)])
+
+
+@st.composite
+def small_hermitian_cases(draw):
+    """(H, psi, t) at dims 2-4, real or complex, with ||H|| t <= 10."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.normal(size=(n, n)) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        h = h + 1j * rng.normal(size=(n, n)) * 10.0 ** draw(st.integers(-3, 3))
+    h = np.tril(h, -1) + np.tril(h, -1).conj().T + np.diag(np.diag(h).real)
+    t = draw(st.floats(0.0, 10.0)) / max(float(np.linalg.norm(h, 2)), 1.0)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return h, psi / np.linalg.norm(psi), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hermitian_cases())
+def test_evolve_returns_the_reference_bytes_at_dims_2_to_4(case):
+    h, psi, t = case
+    got, want = evolve(h, psi, t), _evolve_reference(h, psi, t)
+    assert got.dtype == want.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+
+
+def _bad_matrices(n):
+    """(H, expected error type): n x n, off either side of the tolerance, or non-finite."""
+    rng = np.random.default_rng(n)
+    base = random_hermitian(rng, n)
+    base /= np.abs(base).max()  # max|H| = 1: the tolerance on max|H - H^dag| is 1e-12
+    cases = []
+    for i, j, step, kind in ((n - 1, 0, 2e-12, NonHermitianError),
+                             (0, n - 1, 0.5, NonHermitianError),
+                             (n - 1, 0, 5e-13, None),
+                             (1, 1, 2e-12j, NonHermitianError),
+                             (1, 1, 4e-13j, None)):
+        h = base.copy()
+        h[i, j] += step
+        cases.append((h, kind))
+        cases.append((h.real.copy(), None if kind is None or step.imag else kind))
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+        h = base.copy()
+        h[n - 1, n // 2] = bad
+        cases.append((h, ValueError))
+    cases.append((np.full((n, n), np.nan), ValueError))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_evolve_raises_require_hermitians_errors_at_dims_2_to_4(n):
+    psi = np.ones(n, dtype=complex) / math.sqrt(n)
+    for h, kind in _bad_matrices(n):
+        want = _error(require_hermitian, h)
+        assert (want and want[0]) is kind
+        if kind is ValueError:
+            assert want[1] == "matrix has non-finite entries"
+        elif kind is NonHermitianError:
+            assert want[1].startswith("matrix is not Hermitian: max |H - H^dag| = ")
+        assert _error(evolve, h, psi, 0.3) == want
+    # mis-shaped matrices fail on their shape before psi is looked at
+    for shape, message in (((n, n + 1), f"expected a square matrix, got shape {(n, n + 1)}"),
+                           ((n,), f"expected a square matrix, got shape {(n,)}"),
+                           ((1, n, n), f"expected a square matrix, got shape {(1, n, n)}"),
+                           ((17, 17), "matrix dimension must be in [1, 16], got 17")):
+        assert _error(evolve, np.zeros(shape), psi, 0.3) == (ValueError, message)
+    assert _error(evolve, np.eye(n), np.ones(n + 1), 0.3) == (
+        ValueError, f"state dimension {(n + 1,)} does not match matrix dimension {n}")
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.complex64, ">f8", ">c16"])
+def test_other_dtypes_are_taken_as_float64_or_complex128(dtype):
+    for h in ([[1, 1], [1, 0]], [[2, 1, 0], [1, 3, 1], [0, 1, 0]]):
+        given = np.array(h).astype(dtype)
+        h = given.astype(complex if given.dtype.kind == "c" else float)
+        assert require_hermitian(given).dtype == h.dtype
+        psi = np.ones(len(h)) / math.sqrt(len(h))
+        assert evolve(given, psi, 0.3).tobytes() == evolve(h, psi, 0.3).tobytes()
+        for got, want in zip(hermitian_eig(given), hermitian_eig(h)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_evolve_2x2_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0], dtype=complex), 1.0)
@@ -369,3 +475,31 @@ def test_bracket_rejects_bad_input():
         bracket_roots(lambda x: x, 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         bracket_roots(lambda x: float("nan"), 0.0, 1.0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_matrices(), st.integers(0, 2**32 - 1))
+def test_lapack_call_matches_numpy_linalg_eigh_bitwise(h, seed):
+    # hermitian_eig and evolve call the gufunc behind numpy.linalg.eigh directly
+    z = np.random.default_rng(seed).normal(size=h.shape)
+    for a in (h, h + 1j * (np.tril(z, -1) - np.tril(z, -1).T)):
+        got, want = numerics._eigh(a), np.linalg.eigh(a)
+        for g, w in zip(got, want):
+            assert type(g) is np.ndarray and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
+def test_lapack_nonconvergence_raises_numpy_linalg_eighs_error(monkeypatch):
+    # the gufunc reports a failed solve by raising the invalid flag, which
+    # numpy.linalg.eigh's error state turns into LinAlgError
+    class FailingGufunc:
+        @staticmethod
+        def eigh_lo(a, signature):
+            return np.sqrt(np.full(len(a), -1.0)), np.full_like(a, np.nan)
+
+    monkeypatch.setattr(numerics, "_umath_linalg", FailingGufunc)
+    for h in (np.eye(3), np.eye(4, dtype=complex)):
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            hermitian_eig(h)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            evolve(h, np.ones(len(h)), 0.1)

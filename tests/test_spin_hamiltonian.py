@@ -1,4 +1,5 @@
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -45,9 +46,8 @@ def test_triplet_matrix_elements(default_cfg):
     a, b = 3.0, 0.5
     gn = default_cfg.gamma_n * b
     ge = default_cfg.gamma_e * b
-    sm = build_spin_matrix(a, b, default_cfg, 1)
-    h = sm.matrix
-    idx = {(lb.i_z, lb.s_z): i for i, lb in enumerate(sm.labels)}
+    h = build_spin_matrix(a, b, default_cfg, 1)
+    idx = {(lb.i_z, lb.s_z): i for i, lb in enumerate(spin_basis(1))}
 
     assert h[idx[(0.5, 1)], idx[(0.5, 1)]] == pytest.approx(a - gn / 2 + ge, rel=1e-14)
     assert h[idx[(-0.5, -1)], idx[(-0.5, -1)]] == pytest.approx(a + gn / 2 - ge, rel=1e-14)
@@ -75,30 +75,30 @@ def test_triplet_matrix_matches_kron_route(a, b, gamma_n, gamma_e):
     )
     perm = [(0 if lb.i_z > 0 else 1) * 3 + (1 - lb.s_z) for lb in spin_basis(1)]
     want = h[np.ix_(perm, perm)]
-    got = build_spin_matrix(a, b, DotConfig(gamma_n=gamma_n, gamma_e=gamma_e), 1).matrix
+    got = build_spin_matrix(a, b, DotConfig(gamma_n=gamma_n, gamma_e=gamma_e), 1)
     tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(want)))
     assert np.all(got.imag == 0.0)
     assert np.max(np.abs(got.real - want)) <= tol
 
 
 def test_f_z_block_structure_is_exact(default_cfg):
-    sm = build_spin_matrix(1.7, 0.9, default_cfg, 1)
-    for i, li in enumerate(sm.labels):
-        for j, lj in enumerate(sm.labels):
+    h = build_spin_matrix(1.7, 0.9, default_cfg, 1)
+    assert h.shape == (6, 6) and h.dtype == np.float64
+    for i, li in enumerate(spin_basis(1)):
+        for j, lj in enumerate(spin_basis(1)):
             if li.f_z != lj.f_z:
-                assert sm.matrix[i, j] == 0.0
+                assert h[i, j] == 0.0
 
 
 def test_singlet_matrix_is_nuclear_zeeman_only(default_cfg):
     b = 2.0
-    sm = build_spin_matrix(5.0, b, default_cfg, 0)  # coupling ignored for S=0
+    h = build_spin_matrix(5.0, b, default_cfg, 0)  # coupling ignored for S=0
     expected = np.diag([-0.5 * default_cfg.gamma_n * b, 0.5 * default_cfg.gamma_n * b])
-    assert np.allclose(sm.matrix, expected, atol=0)
+    assert np.allclose(h, expected, atol=0)
 
 
 def test_traceless_zeeman(default_cfg):
-    sm = build_spin_matrix(0.0, 1.3, default_cfg, 1)
-    assert np.trace(sm.matrix) == 0.0
+    assert np.trace(build_spin_matrix(0.0, 1.3, default_cfg, 1)) == 0.0
 
 
 def test_closed_form_limits(default_cfg):
@@ -266,7 +266,7 @@ _FIELD = st.one_of(st.just(0.0), st.floats(1e-4, 1e2))
 @settings(max_examples=200, deadline=None)
 @given(a=_FIELD, b=_FIELD)
 def test_nmr_selection_matches_stable_argsort_reference(default_cfg, a, b):
-    es = hermitian_eig(build_spin_matrix(a, b, default_cfg, 1).matrix)
+    es = hermitian_eig(build_spin_matrix(a, b, default_cfg, 1))
     assert _selection(a, b, default_cfg) == _reference_selection(*es)
 
 
@@ -280,3 +280,36 @@ def test_nmr_selection_tie_rules(default_cfg, entries):
     with mock.patch("dotnmr.spin_hamiltonian.hermitian_eig", return_value=(values, vectors)):
         got = _selection(1.0, 1.0, default_cfg)
     assert got == _reference_selection(values, vectors)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+# A and B over the default sweep's triplet rows (0.6-5.3 MHz, 0.2-20.5 T), and both zeros
+_SWEEP_A = st.one_of(st.just(0.0), st.floats(0.6, 5.3))
+_SWEEP_B = st.one_of(st.just(0.0), st.floats(0.2, 20.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_SWEEP_A, b=_SWEEP_B)
+def test_nmr_numeric_diagonalizes_the_built_matrix_once(default_cfg, a, b):
+    with mock.patch("dotnmr.spin_hamiltonian.hermitian_eig", wraps=hermitian_eig) as eig:
+        got = _selection(a, b, default_cfg)
+    eig.assert_called_once()
+    (passed,), kwargs = eig.call_args
+    want = build_spin_matrix(a, b, default_cfg, 1)
+    assert not kwargs
+    assert passed.dtype == want.dtype == np.float64 and passed.shape == (6, 6)
+    assert passed.tobytes() == want.tobytes()
+    ref = _reference_selection(*hermitian_eig(want))
+    assert (got is None) == (ref is None)
+    if got is None:
+        return
+    res = nmr_numeric(a, b, default_cfg)
+    fields = (res.f_nmr, res.f_closed, res.c1, res.c2, res.f0)
+    assert [type(v) for v in fields] == [float, np.float64, float, float, float]
+    assert [_bits(v) for v in fields] == [
+        _bits(v) for v in (ref[0], nmr_closed_form(a, b, default_cfg), ref[1], ref[2],
+                           default_cfg.gamma_n * b)
+    ]
