@@ -50,8 +50,6 @@ from .spectrum import (
     ground_state_at,
     magic_transitions,
     mu_m,
-    rel_ground_energy,
-    total_ground_energy,
 )
 from .spin_hamiltonian import (
     NmrResult,

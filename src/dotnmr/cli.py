@@ -152,10 +152,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_transitions(args) -> int:
     cfg, spec = _load(args)
+    # a bound the flags did not give comes from the config file (the defaults pass)
+    lo, hi = (f"--{key.replace('_', '-')}" if getattr(args, key) is not None else f"sweep.{key}"
+              for key in ("x_min", "x_max"))
     if not spec.x_min >= 0:
-        raise ConfigError(f"--x-min must be >= 0, got {spec.x_min}")
+        raise ConfigError(f"{lo} must be >= 0, got {spec.x_min}")
     if not spec.x_max > spec.x_min:
-        raise ConfigError(f"--x-max must exceed --x-min, got {spec.x_max} <= {spec.x_min}")
+        raise ConfigError(f"{hi} must exceed {lo}, got {spec.x_max} <= {spec.x_min}")
     points = magic_transitions(cfg, spec.x_min, spec.x_max)
     print("x_star      (|m|,S) -> (|m|,S)    B_tesla")
     for tp in points:

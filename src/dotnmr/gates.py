@@ -23,10 +23,10 @@ residual excitation, from the branch entries that rwa_pulse places into its
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +40,10 @@ CNOT = np.array(
 UNITARITY_TOL = 1e-9
 
 
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 def _require_finite_fields(obj) -> None:
     """Each field must be a finite real number; a bool is refused by name."""
-    for name in _field_names(type(obj)):
-        value = getattr(obj, name)
+    for field in fields(obj):
+        name, value = field.name, getattr(obj, field.name)
         if type(value) is not float and (
             isinstance(value, bool) or not isinstance(value, numbers.Real)
         ):
@@ -96,8 +91,9 @@ class TwoQubitModel:
             )
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
+    """Z-corrected CNOT fidelity and the spectator branch's residual excitation."""
+
     fidelity: float
     residual_offresonant_population: float
 

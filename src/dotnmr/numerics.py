@@ -16,8 +16,7 @@ _square has already done.  Tests pin its bytes to numpy.linalg.eigh's.  For
 the real 6x6 of spin_hamiltonian.nmr_numeric, in a tight loop, the gufunc
 takes ~3 us (LAPACK's dsyevd ~2 us of it) and the error state ~2 us, where
 numpy.linalg.eigh takes ~7-9 us; the Hermitian check (~6 us) and the sign
-convention (~4 us, its column indices from a table built once per
-dimension) cost about as much again.
+convention (~4 us) cost about as much again.
 
 A spin-1/2 needs no eigensolver: spin_half_propagator is the SU(2) closed
 form exp(-i 2 pi K t) of a traceless 2x2 Hermitian K, and gates builds its
@@ -31,7 +30,6 @@ through _eigh, whose eigenvector phases cancel in V exp(-i 2 pi lambda t) V^dag.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -55,14 +53,6 @@ class EigenSystem(NamedTuple):
 
 
 _FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
-
-
-@functools.cache
-def _columns(n: int) -> np.ndarray:
-    """Read-only column indices 0..n-1, built once per dimension for hermitian_eig."""
-    cols = np.arange(n)
-    cols.flags.writeable = False
-    return cols
 
 
 def _square(h) -> np.ndarray:
@@ -158,7 +148,7 @@ def hermitian_eig(h) -> EigenSystem:
     """
     values, vectors = _eigh(require_hermitian(h))
     rows = np.abs(vectors).argmax(axis=0)
-    cols = _columns(values.shape[0])
+    cols = np.arange(values.shape[0])
     pivots = vectors[rows, cols]
     if vectors.dtype.kind == "f":  # the phase is sign(p), and p sign(p) = |p| exactly
         vectors *= np.sign(pivots)

@@ -29,11 +29,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import DotConfig, require_non_negative, zeeman_ratio
+from .config import DotConfig, require_non_negative
 from .errors import ParityError
 
 
@@ -80,57 +80,25 @@ def effective_omega_ratio(x):
     return np.sqrt(x * x + 4.0)
 
 
-def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
-    """Lowest relative-motion energy for angular momentum |m|, in hbar*omega0."""
-    return 0.5 * effective_omega_ratio(x) * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
-
-
-def total_ground_energy(m_abs: int, s_total: int, cfg: DotConfig, x):
-    """Relative plus spin-Zeeman energy in hbar*omega0 (CM constant omitted).
-
-    The triplet contributes -zeeman_ratio (its S_z = -1 branch); the singlet
-    has no electron Zeeman energy.
-    """
-    check_parity(m_abs, s_total)
-    energy = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
-    return energy - zeeman_ratio(cfg, x) if s_total == 1 else energy
-
-
-@dataclass(frozen=True)
-class OrbitalGround:
-    """Orbital ground-state label (|m|, S) at ratio x."""
+class OrbitalGround(NamedTuple):
+    """Orbital ground-state label (|m|, S) at ratio x, with S = spin_for_m(|m|)."""
 
     x: float
     m_abs: int
     s_total: int
     at_search_boundary: bool = False
 
-    def __post_init__(self):
-        check_parity(self.m_abs, self.s_total)
-
     @property
     def label(self) -> tuple[int, int]:
         return (self.m_abs, self.s_total)
 
 
-@dataclass(frozen=True)
-class TransitionPoint:
-    """Ground-state boundary: at x_star the labels swap from_state -> to_state."""
+class TransitionPoint(NamedTuple):
+    """Ground-state boundary: at x_star > 0 the labels swap from_state -> to_state, |m| rising."""
 
     x_star: float
     from_state: tuple[int, int]
     to_state: tuple[int, int]
-
-    def __post_init__(self):
-        if not self.x_star > 0:
-            raise ValueError(f"x_star must be > 0, got {self.x_star}")
-        if self.from_state == self.to_state:
-            raise ValueError("transition endpoints must differ")
-        if not self.to_state[0] > self.from_state[0]:
-            raise ValueError(
-                f"|m| must increase across a transition, got "
-                f"{self.from_state} -> {self.to_state}"
-            )
 
 
 # An entry holds under 1 KB (two short arrays and its DotConfig key), so 256
@@ -148,7 +116,9 @@ def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
 
         x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a).
 
-    Smaller |m| never return, so the next crossing is the smallest x* ahead.
+    Smaller |m| never return, so the next crossing is the smallest x* ahead: one
+    behind x can only be a crossing of three or more labels at x, seen through
+    rounding, and it moves the walk on at x without a window.
     """
     zeeman_slope = cfg.g_factor * cfg.mstar_ratio
     require_non_negative("g_factor * mstar_ratio", zeeman_slope)
@@ -160,13 +130,16 @@ def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
         for b in range(a + 1, cfg.m_max + 1):
             k = (b - a + zeeman_slope * (spin[b] - spin[a])) / (mu[b] - mu[a])
             # strict < keeps the smaller |m| on a tie
-            if k > 1.0 and x < (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
+            if k > 1.0 and (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
                 next_x, next_b = x_b, b
         if next_b is None:
             break
-        x, a = next_x, next_b
-        crossings.append(x)
-        labels.append(a)
+        if next_x > x:
+            crossings.append(next_x)
+            labels.append(next_b)
+        else:  # a's window has zero width
+            labels[-1] = next_b
+        x, a = max(x, next_x), next_b
     staircase = np.array(crossings, dtype=float), np.array(labels, dtype=np.intp)
     for array in staircase:
         array.flags.writeable = False
@@ -205,12 +178,7 @@ def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
             "increase m_max to trust this result",
             stacklevel=2,
         )
-    return OrbitalGround(
-        x=x,
-        m_abs=best_m,
-        s_total=spin_for_m(best_m),
-        at_search_boundary=at_boundary,
-    )
+    return OrbitalGround(x, best_m, spin_for_m(best_m), at_boundary)
 
 
 def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[TransitionPoint]:
@@ -224,9 +192,7 @@ def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[Transiti
     first, last = np.searchsorted(crossings, x_lo, "right"), np.searchsorted(crossings, x_hi)
     m = labels[first : last + 1].tolist()
     points = [
-        TransitionPoint(
-            x_star=x_star, from_state=(m_a, spin_for_m(m_a)), to_state=(m_b, spin_for_m(m_b))
-        )
+        TransitionPoint(x_star, (m_a, spin_for_m(m_a)), (m_b, spin_for_m(m_b)))
         for x_star, m_a, m_b in zip(crossings[first:last].tolist(), m, m[1:])
     ]
     if labels[last] == cfg.m_max:

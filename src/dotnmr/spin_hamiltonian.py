@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,29 +45,19 @@ from .spectrum import ground_state_at
 OVERLAP_DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpinBasisLabel:
+class SpinBasisLabel(NamedTuple):
     """One product state |i_z; S, S_z> of nucleus and electron pair."""
 
     i_z: float      # +0.5 or -0.5
     s_total: int    # 0 or 1
     s_z: int        # in [-s_total, s_total]
 
-    def __post_init__(self):
-        if self.i_z not in (0.5, -0.5):
-            raise ValueError(f"i_z must be +-0.5, got {self.i_z}")
-        if self.s_total not in (0, 1):
-            raise ValueError(f"s_total must be 0 or 1, got {self.s_total}")
-        if abs(self.s_z) > self.s_total:
-            raise ValueError(f"s_z={self.s_z} out of range for S={self.s_total}")
-
     @property
     def f_z(self) -> float:
         return self.i_z + self.s_z
 
 
-@dataclass(frozen=True)
-class NmrResult:
+class NmrResult(NamedTuple):
     """Numeric resonance next to its closed form and the mixing amplitudes."""
 
     f_nmr: float     # E(|-;1,-1>) - E(|Psi>), MHz
@@ -79,9 +69,11 @@ class NmrResult:
 
 @functools.cache
 def spin_basis(s_total: int) -> tuple[SpinBasisLabel, ...]:
-    """Basis ordered by descending F_z, then descending i_z (built once per S)."""
+    """Basis ordered by descending F_z, then descending i_z (built once per S = 0 or 1)."""
+    if s_total not in (0, 1):
+        raise ValueError(f"s_total must be 0 or 1, got {s_total}")
     labels = [
-        SpinBasisLabel(i_z=iz, s_total=s_total, s_z=sz)
+        SpinBasisLabel(iz, s_total, sz)
         for iz in (0.5, -0.5)
         for sz in range(s_total, -s_total - 1, -1)
     ]
@@ -120,7 +112,7 @@ def build_spin_matrix(
     """The real symmetric spin Hamiltonian in MHz, rows and columns over spin_basis(S).
 
     Triplet: full 6x6 with the flip-flop and Iz Sz terms.  Singlet electrons
-    are uncoupled, leaving a 2x2 nuclear Zeeman matrix.
+    are uncoupled, leaving a 2x2 nuclear Zeeman matrix.  Any other S fails in spin_basis.
     """
     require_finite_non_negative("a_mhz", a_mhz)
     require_finite_non_negative("b_tesla", b_tesla)
@@ -147,7 +139,7 @@ def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
 
 # rows of |+;1,-1>, |-;1,0> and the stretched |-;1,-1> in spin_basis(1)
 _I_FLIP, _I_KEEP, _I_STRETCHED = (
-    spin_basis(1).index(SpinBasisLabel(*label))
+    spin_basis(1).index(label)
     for label in ((0.5, 1, -1), (-0.5, 1, 0), (-0.5, 1, -1))
 )
 

@@ -84,9 +84,12 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
 def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
     """Uniform inclusive grid of sweep columns, deterministic for fixed inputs.
 
-    Raises FloatingPointError naming the first x whose row is not finite, and
-    warns once when the ground state reaches m_max inside the window.
+    steps must be an int or a numpy integer (not a bool).  Raises
+    FloatingPointError naming the first x whose row is not finite, and warns
+    once when the ground state reaches m_max inside the window.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ConfigError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
     if not x_min > 0:

@@ -236,9 +236,23 @@ def test_sweep_directory_at_an_output_path_exits_1(tmp_path, capsys, name):
         (["gate", "--j-coupling", "0"],
          "--j-coupling must be nonzero for a conditional gate, got 0.0"),
         (["gate", "--rabi-over-j", "3"], "--rabi-over-j must be <= 2, got 3.0"),
+        # a bound the flags did not give is named by its config key
+        (["transitions", "--config", "neg.json"], "sweep.x_min must be >= 0, got -1.0"),
+        (["transitions", "--config", "inverted.json"],
+         "sweep.x_max must exceed sweep.x_min, got 2.0 <= 3.0"),
+        (["transitions", "--config", "inverted.json", "--x-max", "1"],
+         "--x-max must exceed sweep.x_min, got 1.0 <= 3.0"),
+        (["transitions", "--config", "inverted.json", "--x-min", "2.5"],
+         "sweep.x_max must exceed --x-min, got 2.0 <= 2.5"),
+        (["transitions", "--config", "neg.json", "--x-max", "-2"],
+         "sweep.x_min must be >= 0, got -1.0"),
     ],
 )
-def test_bad_point_query_flag_exits_1_before_printing(capsys, argv, message):
+def test_bad_point_query_flag_exits_1_before_printing(tmp_path, monkeypatch, capsys, argv,
+                                                      message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "neg.json").write_text('{"sweep": {"x_min": -1.0}}')
+    (tmp_path / "inverted.json").write_text('{"sweep": {"x_min": 3.0, "x_max": 2.0}}')
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotnmr import (
@@ -13,11 +13,10 @@ from dotnmr import (
     ground_state_at,
     magic_transitions,
     mu_m,
-    rel_ground_energy,
-    total_ground_energy,
     validate_config,
+    zeeman_ratio,
 )
-from dotnmr.spectrum import _staircase, ground_m_abs
+from dotnmr.spectrum import _staircase, check_parity, ground_m_abs
 
 
 def boundary_singlet_triplet(zeeman_slope: float, alpha_tilde: float = 3.0) -> float:
@@ -32,6 +31,39 @@ def boundary_triplet_triplet(m_from: int, m_to: int, alpha_tilde: float = 3.0) -
     k = mu_m(m_to, alpha_tilde) - mu_m(m_from, alpha_tilde)
     d = m_to - m_from
     return 2.0 * k / math.sqrt(d * d - k * k)
+
+
+def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
+    """Lowest relative-motion energy for angular momentum |m|, in hbar*omega0."""
+    return 0.5 * effective_omega_ratio(x) * (1.0 + mu_m(m_abs, alpha_tilde)) - 0.5 * m_abs * x
+
+
+def total_ground_energy(m_abs: int, s_total: int, cfg, x):
+    """Relative plus spin-Zeeman energy in hbar*omega0 (CM constant omitted).
+
+    The triplet contributes -zeeman_ratio (its S_z = -1 branch); the singlet
+    has no electron Zeeman energy.
+    """
+    check_parity(m_abs, s_total)
+    energy = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
+    return energy - zeeman_ratio(cfg, x) if s_total == 1 else energy
+
+
+# with m*/m_e = 0.19 and alpha_tilde = 3 this g_factor makes (1,1), (2,0) and (3,1)
+# cross at one x = 2.1491..., where g m*/m_e = (d23 - d12) / (d12 + d23) and
+# d_ab = mu_b - mu_a; the rounded (2,0) -> (3,1) crossing equals the (1,1) -> (2,0) one
+TRIPLE_G = 0.6204594976771666
+
+
+def argmin_ground_m(cfg, x):
+    """Independent reference: the lowest total_ground_energy over |m| in [0, m_max].
+
+    Ties go to the smaller |m| (np.argmin keeps the first minimum).
+    """
+    energies = np.stack(
+        [total_ground_energy(m, m % 2, cfg, x) for m in range(cfg.m_max + 1)]
+    )
+    return np.argmin(energies, axis=0)
 
 
 def test_mu_m_values():
@@ -209,22 +241,37 @@ def test_label_sequence_matches_magic_numbers(default_cfg):
     x_lo=st.floats(0.0, 4.0),
     span=st.floats(0.1, 8.0),
 )
+# three labels cross at one x here, which a walk must report once
+@example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10, x_lo=2.0, span=1.0)
 def test_envelope_walk_matches_ground_state_scan(g, mstar, alpha, m_max, x_lo, span):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     x_hi = x_lo + span
+
+    def ground(x):
+        result = ground_state_at(cfg, x)
+        assert result.s_total == result.m_abs & 1
+        return result.label
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # strong Zeeman drives the walk to m_max
         points = magic_transitions(cfg, x_lo, x_hi)
-        labels = [ground_state_at(cfg, x_lo).label] + [p.to_state for p in points]
-        edges = [x_lo] + [p.x_star for p in points] + [x_hi]
+        x_stars = [p.x_star for p in points]
+        # what the records' builders guarantee: x* > 0 and rising, |m| rising
+        # across each boundary, and S = |m| & 1 in every label
+        assert all(a < b for a, b in zip([0.0, *x_stars], x_stars))
+        for p in points:
+            assert p.to_state[0] > p.from_state[0]
+            assert all(s == m & 1 for m, s in (p.from_state, p.to_state))
+        labels = [ground(x_lo)] + [p.to_state for p in points]
+        edges = [x_lo, *x_stars, x_hi]
         for lo, hi, label in zip(edges, edges[1:], labels):
-            assert ground_state_at(cfg, 0.5 * (lo + hi)).label == label
+            assert ground(0.5 * (lo + hi)) == label
         for i, p in enumerate(points):
             assert p.from_state == labels[i]
             eps = 0.25 * min(4e-7, edges[i + 1] - edges[i], edges[i + 2] - edges[i + 1])
             before, after = p.x_star - eps, p.x_star + eps
-            assert ground_state_at(cfg, before).label == p.from_state
-            assert ground_state_at(cfg, after).label == p.to_state
+            assert ground(before) == p.from_state
+            assert ground(after) == p.to_state
             # the (from, to) energy gap changes sign across x*
             assert total_ground_energy(*p.from_state, cfg, before) < total_ground_energy(
                 *p.to_state, cfg, before
@@ -241,17 +288,6 @@ def test_magic_transitions_warns_once_at_m_max():
     assert len([w for w in record if "m_max" in str(w.message)]) == 1
 
 
-def argmin_ground_m(cfg, x):
-    """Independent reference: the lowest total_ground_energy over |m| in [0, m_max].
-
-    Ties go to the smaller |m| (np.argmin keeps the first minimum).
-    """
-    energies = np.stack(
-        [total_ground_energy(m, m % 2, cfg, x) for m in range(cfg.m_max + 1)]
-    )
-    return np.argmin(energies, axis=0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     g=st.floats(0.0, 3.0),
@@ -260,6 +296,8 @@ def argmin_ground_m(cfg, x):
     m_max=st.integers(5, 25),
     xs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=50),
 )
+# the walk once skipped (3,1) past this triple crossing, leaving (2,0) up to x = 3.21
+@example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10, xs=[2.5, 3.0])
 def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     crossings, _ = _staircase(cfg)
@@ -268,6 +306,15 @@ def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
     want = argmin_ground_m(cfg, np.array(xs))
     assert np.array_equal(ground_m_abs(cfg, np.array(xs)), want)
     assert [int(ground_m_abs(cfg, x)) for x in xs] == want.tolist()
+
+
+def test_staircase_passes_a_triple_crossing_without_a_window():
+    cfg = DotConfig(g_factor=TRIPLE_G, mstar_ratio=0.19, alpha_tilde=3.0, m_max=10)
+    crossings, labels = _staircase(cfg)
+    assert labels.tolist() == [0, 1, 3, 5, 7, 9]
+    assert np.all(np.diff(crossings) > 0)
+    xs = np.array([2.0, 2.5, 3.0, 4.0])
+    assert np.array_equal(ground_m_abs(cfg, xs), argmin_ground_m(cfg, xs))
 
 
 def test_exact_crossing_goes_to_the_smaller_m(default_cfg):

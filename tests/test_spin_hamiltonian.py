@@ -35,11 +35,21 @@ def test_basis_ordering_singlet():
     assert [(lb.i_z, lb.s_z) for lb in labels] == [(0.5, 0), (-0.5, 0)]
 
 
-def test_label_validation():
-    with pytest.raises(ValueError):
-        SpinBasisLabel(0.3, 1, 0)
-    with pytest.raises(ValueError):
-        SpinBasisLabel(0.5, 0, 1)
+def test_label_validation(default_cfg):
+    # S = -1 builds no label at all, so only the check in spin_basis can refuse it
+    for s_total in (2, -1):
+        with pytest.raises(ValueError, match=rf"^s_total must be 0 or 1, got {s_total}$"):
+            build_spin_matrix(1.0, 1.0, default_cfg, s_total)
+
+
+@pytest.mark.parametrize("s_total", [0, 1])
+def test_spin_basis_labels_are_in_range(s_total):
+    labels = spin_basis(s_total)
+    assert len(labels) == 2 * (2 * s_total + 1)
+    for lb in labels:
+        assert lb.i_z in (0.5, -0.5)
+        assert lb.s_total == s_total
+        assert abs(lb.s_z) <= s_total
 
 
 def test_triplet_matrix_elements(default_cfg):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -66,6 +67,20 @@ def test_sweep_bad_bounds(default_cfg):
         run_sweep(default_cfg, 1.0, 0.5, 100)
     with pytest.raises(ConfigError):
         run_sweep(default_cfg, 0.1, 5.0, 1)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.7, 5.0, True, "5", None])
+def test_sweep_refuses_a_non_integer_step_count(default_cfg, steps):
+    # a float count used to give a non-uniform grid: 2.5 made [0.05, 3.35, 5.0]
+    message = f"steps must be an integer, got {steps!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_sweep(default_cfg, 0.05, 5.0, steps)
+
+
+def test_sweep_accepts_numpy_integer_steps(default_cfg):
+    for steps in (np.int64(5), np.int32(5), np.uint8(5)):
+        sweep = run_sweep(default_cfg, 0.05, 5.0, steps)
+        assert np.array_equal(sweep.x, run_sweep(default_cfg, 0.05, 5.0, 5).x)
 
 
 def test_sweep_singlet_rows_are_decoupled(default_sweep):
@@ -340,13 +355,16 @@ def scalar_sweep_row(cfg, x):
 )
 @example(g=2.0, mstar=0.19, alpha=3.0, c=60.0, m_max=5, window="top", lo=0.5, span=2.0,
          steps=300)
+# a near-zero alpha puts the last crossing (5 -> 6 here) above 1e6
+@example(g=0.0, mstar=0.5, alpha=1e-10, c=0.0, m_max=6, window="top", lo=1.0, span=1.0,
+         steps=2)
 def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, window, lo,
                                                     span, steps):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, hyperfine_c=c,
                     m_max=m_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # m_max and gamma_e consistency warnings
-        points = magic_transitions(cfg, 0.0, 1e6)
+        points = magic_transitions(cfg, 0.0, math.inf)
         edges = [p.x_star for p in points]
         if window == "free":
             x_lo, x_hi = 4.0 * lo, 4.0 * lo + span
