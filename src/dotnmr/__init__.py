@@ -12,7 +12,6 @@ from .config import (
     b_field_from_ratio,
     nuclear_larmor_mhz,
     validate_config,
-    zeeman_ratio,
 )
 from .errors import (
     ConfigError,

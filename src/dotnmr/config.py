@@ -8,6 +8,11 @@ Unit bookkeeping used throughout the package:
   constant);
 * the magnetic field enters through the dimensionless ratio
   x = omega_c / omega_0, with omega_c = e*B/m* the cyclotron frequency.
+
+The guards compare a Python int or float directly, numpy's reductions being
+for arrays; with numpy's route for all values, spin-gates work_per_ref read
+0.1213 -> 0.0881 (-27 %, worse in 5/5 alternated 30 s pairs of bench/run.py,
+parent IQR 0.0067, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ K_CYC_MEV_PER_T = 0.1157676
 # Bohr magneton as a frequency, MHz/T.  gamma_e for a g-factor g is
 # g * MU_B_MHZ_PER_T; used only for the g/gamma_e consistency warning.
 MU_B_MHZ_PER_T = 13996.2449
-
-# Planck constant in meV per MHz of frequency.
-H_MEV_PER_MHZ = 4.135667696e-6
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,6 @@ def b_field_from_ratio(cfg: DotConfig, x):
     """Magnetic field in Tesla for a ratio x = omega_c/omega_0 (float or array)."""
     require_non_negative("x", x)
     return x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
-
-
-def zeeman_ratio(cfg: DotConfig, x):
-    """Electron Zeeman energy g*mu_B*B over hbar*omega0 (float or array x).
-
-    Algebraically (g/2) * (m*/m_e) * x, independent of the field conversion.
-    """
-    require_non_negative("x", x)
-    return 0.5 * cfg.g_factor * cfg.mstar_ratio * x
 
 
 def nuclear_larmor_mhz(cfg: DotConfig, b_tesla):

@@ -3,9 +3,9 @@
 Computational basis |0>, |1> is nuclear spin up/down.  Single-qubit gates are
 rotating-frame, rotating-wave-approximation propagators; a resonant pulse of
 duration 1/(2*rabi) is a pi rotation.  Pulses and rotations are the SU(2)
-closed form numerics.spin_half_propagator, the one evolve uses for 2x2
-Hamiltonians.  Every pulse and model field must be a finite real number; a
-bool is refused by field name, as rwa_pulse refuses a bool frequency.
+closed form numerics.spin_half_propagator, the one evolve uses for 2x2 H.  Pulse
+and model fields and rabi_over_j must be finite real numbers; a bool is refused
+by name, as rwa_pulse refuses a bool frequency.
 
 Two coupled dots are modelled by a static state-dependent resonance shift:
 driving one qubit, its transition sits at f -/+ J when the other qubit is in
@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,15 +41,19 @@ UNITARITY_TOL = 1e-9
 
 
 def _require_finite_fields(obj) -> None:
-    """Each field must be a finite real number; a bool is refused by name."""
-    for field in fields(obj):
-        name, value = field.name, getattr(obj, field.name)
-        if type(value) is not float and (
-            isinstance(value, bool) or not isinstance(value, numbers.Real)
-        ):
-            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    """Each field (in __dict__, in declaration order) must be a finite real number, not a bool."""
+    for name, value in vars(obj).items():
+        _require_real(name, value)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_real(name: str, value) -> None:
+    """Raise TypeError naming value unless it is a real number other than a bool."""
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,7 @@ def cnot_conditional(model: TwoQubitModel, rabi_over_j: float) -> GateReport:
     """
     if not isinstance(model, TwoQubitModel):
         raise TypeError(f"model must be a TwoQubitModel, got {type(model)}")
+    _require_real("rabi_over_j", rabi_over_j)
     if model.j_coupling == 0.0:
         raise DegenerateModelError(
             "j_coupling = 0: branches coincide, conditional drive impossible"

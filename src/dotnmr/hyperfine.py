@@ -30,18 +30,17 @@ from .spectrum import check_parity, effective_omega_ratio, mu_m
 def _center_scales(alpha_tilde: float, top: int) -> np.ndarray:
     """Read-only pi 2^(1 + mu_m) for |m| = 0..top, each by Python's pow.
 
-    numpy's vectorized pow can differ from Python's in the last bit, so an
-    array of |m| gathers from this table to match the scalar route bitwise.
+    numpy's vectorized pow can differ from Python's in the last bit, so |m|
+    gathers from this table to keep Python's value.
     """
-    table = np.array([math.pi * 2.0 ** (1.0 + mu_m(m, alpha_tilde)) for m in range(top + 1)])
+    mu = mu_m(np.arange(top + 1), alpha_tilde).tolist()
+    table = np.array([math.pi * 2.0 ** (1.0 + v) for v in mu])
     table.flags.writeable = False
     return table
 
 
 def _center_scale(m_abs, alpha_tilde: float):
     """pi 2^(1 + mu_m) for an int |m|, or an int array of them."""
-    if isinstance(m_abs, int):
-        return math.pi * 2.0 ** (1.0 + mu_m(m_abs, alpha_tilde))
     require_non_negative("m_abs", m_abs)
     return _center_scales(alpha_tilde, int(np.asarray(m_abs).max(initial=0))).take(m_abs)
 

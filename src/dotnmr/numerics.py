@@ -1,30 +1,29 @@
 """Dense Hermitian eigensolver, unitary propagation and 1-D root bracketing.
 
 All matrices here are small (dim <= 16) real or complex numpy arrays with
-entries in MHz; a real input stays real.  The eigendecomposition is LAPACK's
+entries in MHz; a real input stays real.  Each is converted to float64 or
+complex128 and shape-checked once (_square) and checked Hermitian once, by
+one formula for real and complex.  The eigendecomposition is LAPACK's
 Hermitian solver, called as numpy.linalg.eigh calls it; hermitian_eig then
 fixes each eigenvector's phase so that its largest-magnitude component is
-real and positive (a sign, for a real matrix), which makes repeated calls
-bitwise identical.  Kets are plain complex vectors normalized to 1.
+real and positive, which makes repeated calls bitwise identical.  Kets are
+plain complex vectors normalized to 1.  A spin-1/2 needs no eigensolver:
+spin_half_propagator is the SU(2) closed form exp(-i 2 pi K t) of a
+traceless 2x2 Hermitian K, and gates builds its RF pulses and rotations
+from its entries.
 
-At these sizes a call pays mostly for numpy's fixed cost per operation, so
-each input is converted and shape-checked once (_square, which leaves a
-float64 or complex128 array as it is) and checked Hermitian once, and _eigh
-calls the LAPACK gufunc behind numpy.linalg.eigh directly, under the error
-state eigh sets, without the wrapper's dtype and shape handling that
-_square has already done.  Tests pin its bytes to numpy.linalg.eigh's.  For
-the real 6x6 of spin_hamiltonian.nmr_numeric, in a tight loop, the gufunc
-takes ~3 us (LAPACK's dsyevd ~2 us of it) and the error state ~2 us, where
-numpy.linalg.eigh takes ~7-9 us; the Hermitian check (~6 us) and the sign
-convention (~4 us) cost about as much again.
+Three routes exist only for speed, each paid for end to end (bench/run.py,
+spin-gates work_per_ref, alternated 30 s pairs, 2-vCPU VM):
 
-A spin-1/2 needs no eigensolver: spin_half_propagator is the SU(2) closed
-form exp(-i 2 pi K t) of a traceless 2x2 Hermitian K, and gates builds its
-RF pulses and rotations from its entries.  evolve checks and steps a 2x2 H
-on its four entries as Python numbers, by require_hermitian's rule and with
-its errors, since numpy's fixed cost per call would outweigh the
-arithmetic; larger matrices get require_hermitian's array check and go
-through _eigh, whose eigenvector phases cancel in V exp(-i 2 pi lambda t) V^dag.
+* evolve steps a 2x2 H on its entries as Python numbers, by require_hermitian's
+  rule and errors; larger H go through _eigh, whose phases cancel in
+  V exp(-i 2 pi lambda t) V^dag: 0.0715 -> 0.0943 (x1.32, 10/10, IQR 0.0023).
+* _eigh calls the LAPACK gufunc behind numpy.linalg.eigh under the error
+  state eigh sets, skipping the dtype and shape handling _square has done;
+  tests pin its bytes to eigh's: 0.1018 -> 0.1082 (+6.3 %, 9/10, IQR 0.0040).
+* hermitian_eig takes a real pivot's phase as sign(p), the same bytes as
+  p* / |p| with p set to |p|; with the complex formula for both, 0.1165 ->
+  0.1134 (-2.6 %, worse in 4/5, beyond the parent's IQR of 0.0016).
 """
 
 from __future__ import annotations
@@ -52,14 +51,10 @@ class EigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
-_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
-
-
 def _square(h) -> np.ndarray:
     """h as a float or complex array, checked square with dim in [1, MAX_DIM]."""
     a = np.asarray(h)
-    if a.dtype is not _FLOAT and a.dtype is not _COMPLEX:  # convert only what is not
-        a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
+    a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -92,14 +87,8 @@ def require_hermitian(h) -> np.ndarray:
 def _check_hermitian_array(a: np.ndarray) -> None:
     """require_hermitian's rule on an array that _square has already returned."""
     scale = float(np.abs(a).max())
-    # a non-finite matrix is not subtracted (inf - inf warns); for a real one H - H^T
-    # is exactly antisymmetric, so its max is max|H - H^T| without the abs
-    if not math.isfinite(scale):
-        mismatch = math.nan
-    elif a.dtype.kind == "c":
-        mismatch = float(np.abs(a - a.conj().T).max())
-    else:
-        mismatch = float((a - a.T).max())
+    # a non-finite matrix is not subtracted (inf - inf warns)
+    mismatch = float(np.abs(a - a.conj().T).max()) if math.isfinite(scale) else math.nan
     _check_hermitian(scale, mismatch)
 
 
@@ -144,7 +133,7 @@ def hermitian_eig(h) -> EigenSystem:
     Eigenvalues come back ascending; eigenvector columns are orthonormal with
     a fixed phase convention (largest-magnitude component real positive), so
     repeated calls are bitwise identical.  A real matrix gets real
-    eigenvectors, whose convention is a sign.
+    eigenvectors, whose convention is then a sign.
     """
     values, vectors = _eigh(require_hermitian(h))
     rows = np.abs(vectors).argmax(axis=0)

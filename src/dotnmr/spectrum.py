@@ -22,6 +22,11 @@ along the lower envelope from x = 0, with no scan or root search.  It is
 computed once per (frozen, hashable) DotConfig and cached: the ground state
 at any x is a binary search over its crossings, and the transitions in a
 window are a slice of it.
+
+check_parity compares a Python int label directly, numpy being for arrays;
+with the array route for all labels, device-scan work_per_ref read 0.1146 ->
+0.1108 (-3.3 %, worse in 4/5 alternated 30 s pairs of bench/run.py, beyond
+the parent's IQR of 0.0031, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -62,14 +67,10 @@ def check_parity(m_abs, s_total) -> None:
 def mu_m(m_abs, alpha_tilde: float):
     """Effective angular-momentum index sqrt(m^2 + alpha_tilde), for an int or an int array |m|.
 
-    Both routes round the square root correctly, so an array entry equals the int's value.
+    np.sqrt rounds correctly, so each value equals math.sqrt's.
     """
     if not alpha_tilde >= 0:
         raise ValueError(f"alpha_tilde must be >= 0, got {alpha_tilde}")
-    if isinstance(m_abs, int):
-        if m_abs < 0:
-            raise ValueError(f"m_abs must be >= 0, got {m_abs}")
-        return math.sqrt(m_abs * m_abs + alpha_tilde)
     require_non_negative("m_abs", m_abs)
     return np.sqrt(m_abs * m_abs + alpha_tilde)
 
@@ -122,7 +123,7 @@ def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     zeeman_slope = cfg.g_factor * cfg.mstar_ratio
     require_non_negative("g_factor * mstar_ratio", zeeman_slope)
-    mu = [mu_m(m, cfg.alpha_tilde) for m in range(cfg.m_max + 1)]
+    mu = mu_m(np.arange(cfg.m_max + 1), cfg.alpha_tilde).tolist()
     spin = [spin_for_m(m) for m in range(cfg.m_max + 1)]
     x, a, crossings, labels = 0.0, 0, [], [0]
     while a < cfg.m_max:

@@ -14,7 +14,7 @@ PUBLIC = [
     "evolve", "gate_fidelity", "ground_state_at", "hadamard", "hermitian_eig", "load_config",
     "magic_transitions", "mu_m", "nmr_closed_form", "nmr_numeric", "nuclear_larmor_mhz",
     "relative_shift", "rotate_qubit", "run_sweep", "rwa_pulse", "spin_basis", "sweep_row",
-    "validate_config", "write_csv", "write_manifest", "zeeman_ratio",
+    "validate_config", "write_csv", "write_manifest",
 ]
 
 
@@ -24,4 +24,4 @@ def test_public_export_set_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
-    assert len(names) == 52
+    assert len(names) == 51

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotnmr import (
     ConfigError,
@@ -9,13 +11,18 @@ from dotnmr import (
     K_CYC_MEV_PER_T,
     b_field_from_ratio,
     validate_config,
-    zeeman_ratio,
 )
-from dotnmr.config import H_MEV_PER_MHZ, MU_B_MHZ_PER_T
+from dotnmr.config import MU_B_MHZ_PER_T, require_finite_non_negative, require_non_negative
 from dotnmr.spectrum import effective_omega_ratio
 from dotnmr.spin_hamiltonian import nmr_closed_form
 
 BOHR_MAGNETON_MEV_PER_T = 5.7883818060e-2
+H_MEV_PER_MHZ = 4.135667696e-6  # Planck constant in meV per MHz of frequency
+
+
+def zeeman_ratio(cfg, x):
+    """Electron Zeeman energy g*mu_B*B over hbar*omega0: (g/2) (m*/m_e) x."""
+    return 0.5 * cfg.g_factor * cfg.mstar_ratio * x
 
 
 def test_default_config_accepted(default_cfg):
@@ -87,7 +94,6 @@ def test_b_field_zero_and_negative(default_cfg):
 def test_non_negative_guards_reject_negative_and_nan(default_cfg, bad):
     for call in (
         lambda: b_field_from_ratio(default_cfg, bad),
-        lambda: zeeman_ratio(default_cfg, bad),
         lambda: effective_omega_ratio(bad),
     ):
         with pytest.raises(ValueError, match="x must be >= 0"):
@@ -96,6 +102,24 @@ def test_non_negative_guards_reject_negative_and_nan(default_cfg, bad):
         nmr_closed_form(bad, 1.0, default_cfg)
     with pytest.raises(ValueError, match="b_tesla must be >= 0"):
         nmr_closed_form(1.0, bad, default_cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats() | st.integers(-2**70, 2**70) | st.booleans())
+def test_guards_on_python_scalars_match_the_array_route(value):
+    def error(check, v):
+        try:
+            check("v", v)
+        except ValueError as exc:
+            return str(exc)
+
+    want = None if value >= 0 else f"v must be >= 0, got {value}"
+    assert error(require_non_negative, value) == want
+    if want is None and not value < math.inf:
+        want = f"v must be finite, got {value}"
+    assert error(require_finite_non_negative, value) == want
+    for check in (require_non_negative, require_finite_non_negative):
+        assert (error(check, np.array([value])) is None) == (error(check, value) is None)
 
 
 def test_b_field_linear_in_x(default_cfg):

@@ -296,6 +296,14 @@ def test_cnot_rejects_bad_ratio():
         cnot_conditional(model, 2.5)
 
 
+@pytest.mark.parametrize("ratio", [True, np.array([0.05]), "0.05", None])
+def test_cnot_refuses_a_ratio_that_is_not_a_real_number(ratio):
+    model = TwoQubitModel(f_a=17.393, f_b=17.393, j_coupling=0.001)
+    message = f"^rabi_over_j must be a real number, got {type(ratio).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        cnot_conditional(model, ratio)
+
+
 def test_cnot_rejects_a_model_that_is_not_a_two_qubit_model():
     with pytest.raises(TypeError, match="^model must be a TwoQubitModel, got <class 'float'>$"):
         cnot_conditional(17.4, 0.05)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dotnmr import (
@@ -12,6 +14,7 @@ from dotnmr import (
     delta_m,
     mu_m,
 )
+from dotnmr.hyperfine import _center_scale
 
 
 def density_quadrature(x: float) -> float:
@@ -143,6 +146,14 @@ def test_array_labels_match_scalar_calls_bitwise(default_cfg):
     ):
         expected = [scalar(xi, mi) for xi, mi in zip(x.tolist(), m.tolist())]
         assert values.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), st.floats(0.0, 1e3))
+def test_center_scale_is_pythons_pow_bitwise(m, alpha):
+    want = math.pi * 2.0 ** (1.0 + math.sqrt(m * m + alpha))
+    assert _center_scale(m, alpha) == want
+    assert _center_scale(np.array([m, m]), alpha).tolist() == [want, want]
 
 
 def test_array_labels_are_checked(default_cfg):

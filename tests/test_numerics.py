@@ -344,6 +344,21 @@ def test_other_dtypes_are_taken_as_float64_or_complex128(dtype):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.sampled_from(["<f8", ">f8", "<c16", ">c16", "f4", "c8", "i8", "?"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_square_passes_float64_and_complex128_through(n, dtype, strided, seed):
+    rng = np.random.default_rng(seed)
+    h = (rng.normal(size=(n, 2 * n)) * 4.0).astype(dtype)
+    h = h[:, ::2] if strided else h[:, :n].copy()
+    a = numerics._square(h)
+    if h.dtype in (np.float64, np.complex128) and h.dtype.isnative:
+        assert a is h
+    else:
+        assert a.dtype == (complex if h.dtype.kind == "c" else float)
+        assert a.tobytes() == h.astype(a.dtype).tobytes()
+
+
 def test_evolve_2x2_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0], dtype=complex), 1.0)
@@ -367,6 +382,13 @@ def test_hermitian_eig_keeps_a_real_matrix_real():
     assert np.max(np.abs(es.vectors @ np.diag(es.values) @ es.vectors.T - (m + m.T))) <= 1e-12
     pivots = es.vectors[np.abs(es.vectors).argmax(axis=0), np.arange(6)]
     assert np.all(pivots > 0.0)
+
+
+def _sign_rule_eig(h):
+    """eigh with each real column times the sign of p, its first entry of largest magnitude."""
+    values, vectors = np.linalg.eigh(h)
+    vectors *= np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(values.shape[0])])
+    return values, vectors
 
 
 def _phase_formula_eig(h):
@@ -411,11 +433,12 @@ def real_matrices(draw, symmetric=True):
 @settings(max_examples=300, deadline=None)
 @given(real_matrices())
 def test_hermitian_eig_real_route_matches_the_phase_formula_bitwise(h):
-    values, vectors = _phase_formula_eig(h)
+    # on a real matrix p / |p| is exactly +-1, so the phase formula is the sign rule
     es = hermitian_eig(h)
     assert es.vectors.dtype == np.float64
-    assert es.values.tobytes() == values.tobytes()
-    assert es.vectors.tobytes() == vectors.tobytes()
+    for values, vectors in (_phase_formula_eig(h), _sign_rule_eig(h)):
+        assert es.values.tobytes() == values.tobytes()
+        assert es.vectors.tobytes() == vectors.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,6 +446,7 @@ def test_hermitian_eig_real_route_matches_the_phase_formula_bitwise(h):
 def test_require_hermitian_real_mismatch_is_max_abs_of_h_minus_its_transpose(h):
     scale = float(np.abs(h).max())
     mismatch = float(np.abs(h - h.T).max())
+    assert float((h - h.T).max()) == mismatch  # H - H^T is exactly antisymmetric
     want = None
     if mismatch > 1e-12 * max(scale, 1e-300):
         want = (NonHermitianError,

@@ -14,7 +14,6 @@ from dotnmr import (
     magic_transitions,
     mu_m,
     validate_config,
-    zeeman_ratio,
 )
 from dotnmr.spectrum import _staircase, check_parity, ground_m_abs
 
@@ -41,12 +40,12 @@ def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
 def total_ground_energy(m_abs: int, s_total: int, cfg, x):
     """Relative plus spin-Zeeman energy in hbar*omega0 (CM constant omitted).
 
-    The triplet contributes -zeeman_ratio (its S_z = -1 branch); the singlet
-    has no electron Zeeman energy.
+    The triplet contributes minus the electron Zeeman energy over hbar*omega0,
+    (g/2) (m*/m_e) x (its S_z = -1 branch); the singlet has none.
     """
     check_parity(m_abs, s_total)
     energy = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
-    return energy - zeeman_ratio(cfg, x) if s_total == 1 else energy
+    return energy - 0.5 * cfg.g_factor * cfg.mstar_ratio * x if s_total == 1 else energy
 
 
 # with m*/m_e = 0.19 and alpha_tilde = 3 this g_factor makes (1,1), (2,0) and (3,1)
@@ -72,6 +71,14 @@ def test_mu_m_values():
     assert mu_m(1, 3.0) == 2.0
     for m in range(6):
         assert mu_m(m, 0.0) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.0, 1e6))
+def test_mu_m_is_math_sqrt_bitwise(m, alpha):
+    want = math.sqrt(m * m + alpha)
+    assert mu_m(m, alpha) == want
+    assert mu_m(np.array([m, 0]), alpha).tolist() == [want, math.sqrt(alpha)]
 
 
 def test_mu_m_rejects_negative():
@@ -114,6 +121,24 @@ def test_total_energy_triplet_at_x1(default_cfg):
     expected = 1.5 * math.sqrt(5.0) - 0.5 - 0.19
     assert total_ground_energy(1, 1, default_cfg, 1.0) == pytest.approx(expected, rel=1e-14)
     assert round(expected, 7) == 2.6641020
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6) | st.integers(0, 10**6).map(np.int64),
+       st.sampled_from([0, 1, 2, -1, 0.0, 1.0, True, False, np.int64(1)]))
+def test_check_parity_on_scalars_matches_the_array_route(m, s):
+    def error(m_abs, s_total):
+        try:
+            check_parity(m_abs, s_total)
+        except ParityError as exc:
+            return str(exc)
+
+    want = None
+    if s != int(m) % 2:
+        want = (f"(|m|={m}, S={s}) violates the parity rule: even m pairs "
+                "with S=0, odd m with S=1")
+    assert error(m, s) == want
+    assert error(np.array([m]), np.array([s])) == want
 
 
 def test_total_energy_parity_violations(default_cfg):

@@ -358,6 +358,8 @@ def scalar_sweep_row(cfg, x):
 # a near-zero alpha puts the last crossing (5 -> 6 here) above 1e6
 @example(g=0.0, mstar=0.5, alpha=1e-10, c=0.0, m_max=6, window="top", lo=1.0, span=1.0,
          steps=2)
+@example(g=0.0, mstar=0.5, alpha=1.33384671841697, c=0.0, m_max=5, window="singlet",
+         lo=0.125, span=50.0, steps=2)
 def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, window, lo,
                                                     span, steps):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, hyperfine_c=c,
@@ -368,10 +370,10 @@ def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, w
         edges = [p.x_star for p in points]
         if window == "free":
             x_lo, x_hi = 4.0 * lo, 4.0 * lo + span
-        elif window == "singlet":  # below the first boundary
+        elif window == "singlet":  # below the first boundary, which goes to the singlet
             first = edges[0] if edges else 10.0
             x_lo = 0.5 * lo * first
-            x_hi = x_lo + (first - x_lo) * span / 50.0
+            x_hi = min(x_lo + (first - x_lo) * span / 50.0, first)  # the sum can round past it
         else:  # past the last boundary, up to the top label
             last = edges[-1] if edges else 1.0
             x_lo, x_hi = lo * last, last * (1.0 + span)
@@ -550,7 +552,7 @@ def reference_load_config(path):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text, parse_constant=str)
@@ -639,6 +641,8 @@ def assert_loads_like_json_loads(path, data: bytes):
     b'{"alpha_tilde": 2.5, "alpha_tilde": -1}',
     b'{"k\xc3\xa9y": 1}',
     b'{"sweep": {"x_min": 2.0, "x_max": 1.0, "steps": 1}}',
+    b'{"alpha_tilde": 3.0}\xff',  # not UTF-8
+    b'\r\n{"m_max": 7}\xe2\x82',  # a truncated character after a newline
 ])
 def test_load_config_matches_json_loads_route(tmp_path, data):
     assert_loads_like_json_loads(tmp_path / "cfg.json", data)
