@@ -19,7 +19,6 @@ from .errors import (
     DegenerateSelectionError,
     DotnmrError,
     NonHermitianError,
-    ParityError,
 )
 from .gates import (
     CNOT,

@@ -182,7 +182,7 @@ def _cmd_nmr(args) -> int:
     if ground.s_total == 0:
         print(f"singlet window: nucleus uncoupled, f_nmr = f0 = {f0:.9g} MHz, shift = 0")
         return 0
-    a = coupling_a(cfg, x, ground.m_abs, ground.s_total, args.ir)
+    a = coupling_a(cfg, x, ground.m_abs, ir_excited=args.ir)
     density = delta_cm(cfg, x, ground.m_abs) if args.ir else delta_m(cfg, x, ground.m_abs)
     result = nmr_numeric(a, b, cfg)
     print(f"ir_excited = {args.ir}")

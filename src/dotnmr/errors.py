@@ -17,10 +17,6 @@ class NonHermitianError(DotnmrError):
     """Matrix handed to the eigensolver is not Hermitian within tolerance."""
 
 
-class ParityError(DotnmrError):
-    """Violation of the m-parity / total-spin rule for two electrons."""
-
-
 class DegenerateSelectionError(DotnmrError):
     """Eigenstate overlap criterion cannot pick a unique resonance partner."""
 

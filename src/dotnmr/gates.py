@@ -4,8 +4,8 @@ Computational basis |0>, |1> is nuclear spin up/down.  Single-qubit gates are
 rotating-frame, rotating-wave-approximation propagators; a resonant pulse of
 duration 1/(2*rabi) is a pi rotation.  Pulses and rotations are the SU(2)
 closed form numerics.spin_half_propagator, the one evolve uses for 2x2 H.  Pulse
-and model fields and rabi_over_j must be finite real numbers; a bool is refused
-by name, as rwa_pulse refuses a bool frequency.
+and model fields, rabi_over_j and a rotation angle must be finite real numbers;
+a bool is refused by name, as rwa_pulse refuses a bool frequency.
 
 Two coupled dots are modelled by a static state-dependent resonance shift:
 driving one qubit, its transition sits at f -/+ J when the other qubit is in
@@ -109,6 +109,7 @@ def rotate_qubit(axis, angle: float) -> np.ndarray:
         raise ValueError(f"axis must be a 3-vector, got shape {n.shape}")
     if not abs(float(np.linalg.norm(n)) - 1.0) <= 1e-12:
         raise ValueError(f"axis must be a finite unit vector, |axis| = {np.linalg.norm(n)}")
+    _require_real("angle", angle)
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
     nx, ny, nz = n.tolist()

@@ -8,7 +8,9 @@ reported here in oscillator-length units: Delta * l0^2 = sqrt(x^2+4) /
 (pi 2^(1+mu_m)).  Exciting the center-of-mass into its first excited level
 (infrared absorption; the relative motion is untouched) rescales the density
 by (1 + mu_m)/2.  The spin-Hamiltonian coupling constant is A(m) =
-hyperfine_c * Delta * l0^2 / 2 in MHz; singlet electrons are uncoupled.
+hyperfine_c * Delta * l0^2 / 2 in MHz for the triplet.  The pair's spin S is
+not an input: antisymmetry fixes it from |m| (spectrum.spin_for_m), and the
+singlet of an even |m| is uncoupled, so A is exactly 0 there.
 
 Each function takes x as a float or an array and |m| as an int or an int
 array of x's shape, so a sweep evaluates all its triplet rows in one call;
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from .config import DotConfig, require_non_negative
-from .spectrum import check_parity, effective_omega_ratio, mu_m
+from .spectrum import effective_omega_ratio, mu_m, spin_for_m
 
 
 @functools.lru_cache(maxsize=64)
@@ -55,10 +57,7 @@ def delta_cm(cfg: DotConfig, x, m_abs):
     return delta_m(cfg, x, m_abs) * 0.5 * (1.0 + mu_m(m_abs, cfg.alpha_tilde))
 
 
-def coupling_a(cfg: DotConfig, x, m_abs, s_total: int, ir_excited: bool = False):
-    """Hyperfine coupling A(m) in MHz; exactly 0 for the singlet."""
-    check_parity(m_abs, s_total)
-    if s_total == 0:
-        return 0.0
+def coupling_a(cfg: DotConfig, x, m_abs, *, ir_excited: bool = False):
+    """Hyperfine coupling A(m) in MHz: exactly 0 for an even |m| (singlet), S = spin_for_m(|m|)."""
     density = delta_cm(cfg, x, m_abs) if ir_excited else delta_m(cfg, x, m_abs)
-    return 0.5 * cfg.hyperfine_c * density
+    return 0.5 * cfg.hyperfine_c * density * spin_for_m(m_abs)

@@ -96,6 +96,8 @@ def _raise_nonconvergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
+@np.errstate(call=_raise_nonconvergence, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
 def _eigh(a: np.ndarray):
     """numpy.linalg.eigh(a) for an array that _square has returned.
 
@@ -103,9 +105,7 @@ def _eigh(a: np.ndarray):
     gufunc numpy.linalg.eigh wraps) under the same error state, without the
     wrapper's dtype and shape handling that _square has already done.
     """
-    with np.errstate(call=_raise_nonconvergence, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
 
 
 def _check_hermitian_2x2(h00, h01, h10, h11) -> None:

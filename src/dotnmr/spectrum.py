@@ -23,10 +23,8 @@ computed once per (frozen, hashable) DotConfig and cached: the ground state
 at any x is a binary search over its crossings, and the transitions in a
 window are a slice of it.
 
-check_parity compares a Python int label directly, numpy being for arrays;
-with the array route for all labels, device-scan work_per_ref read 0.1146 ->
-0.1108 (-3.3 %, worse in 4/5 alternated 30 s pairs of bench/run.py, beyond
-the parent's IQR of 0.0031, 2-vCPU VM).
+spin_for_m alone owns the parity rule: every label's S comes from it, and
+hyperfine.coupling_a takes no S but works it out from |m|.
 """
 
 from __future__ import annotations
@@ -39,29 +37,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DotConfig, require_non_negative
-from .errors import ParityError
 
 
 def spin_for_m(m_abs: int) -> int:
     """Total spin forced by antisymmetry: 0 for even |m|, 1 for odd (an int or an int array)."""
     return m_abs & 1
-
-
-def check_parity(m_abs, s_total) -> None:
-    """Raise ParityError unless S is the spin that antisymmetry forces for |m|.
-
-    Either may be an int array; the message names the first pair that fails.
-    """
-    wrong = s_total != spin_for_m(m_abs)
-    if wrong if isinstance(wrong, bool) else wrong.any():
-        if not isinstance(wrong, bool):
-            first = wrong.argmax()
-            m_abs, s_total = (np.broadcast_to(v, wrong.shape).flat[first]
-                              for v in (m_abs, s_total))
-        raise ParityError(
-            f"(|m|={m_abs}, S={s_total}) violates the parity rule: even m pairs "
-            "with S=0, odd m with S=1"
-        )
 
 
 def mu_m(m_abs, alpha_tilde: float):

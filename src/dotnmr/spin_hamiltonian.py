@@ -127,6 +127,11 @@ def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
     """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays)."""
     require_finite_non_negative("a_mhz", a_mhz)
     require_finite_non_negative("b_tesla", b_tesla)
+    return _closed_form(a_mhz, b_tesla, cfg)
+
+
+def _closed_form(a_mhz, b_tesla, cfg: DotConfig):
+    """nmr_closed_form's arithmetic, for an (A, B) whose guards have already run."""
     gn = cfg.gamma_n
     ge = cfg.gamma_e
     s = a_mhz + (gn + ge) * b_tesla
@@ -174,7 +179,7 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     energies = values.tolist()
     return NmrResult(
         f_nmr=energies[j_low] - energies[j_psi],
-        f_closed=nmr_closed_form(a_mhz, b_tesla, cfg),
+        f_closed=_closed_form(a_mhz, b_tesla, cfg),
         c1=flip[j_psi],
         c2=keep[j_psi],
         f0=nuclear_larmor_mhz(cfg, b_tesla),
@@ -188,7 +193,7 @@ def relative_shift(cfg: DotConfig, x: float, ir_excited: bool = False) -> float:
     ground = ground_state_at(cfg, x)
     if ground.s_total == 0:
         return 0.0
-    a = coupling_a(cfg, x, ground.m_abs, ground.s_total, ir_excited)
+    a = coupling_a(cfg, x, ground.m_abs, ir_excited=ir_excited)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
     return (nmr_closed_form(a, b, cfg) - f0) / f0

@@ -72,8 +72,8 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
     xs, ms, bs = x[triplet], m_abs[triplet], b[triplet]
     density[triplet] = delta_m(cfg, xs, ms)
     density_cm[triplet] = delta_cm(cfg, xs, ms)
-    a[triplet] = a_t = coupling_a(cfg, xs, ms, 1)
-    a_cm[triplet] = a_cm_t = coupling_a(cfg, xs, ms, 1, ir_excited=True)
+    a[triplet] = a_t = coupling_a(cfg, xs, ms)
+    a_cm[triplet] = a_cm_t = coupling_a(cfg, xs, ms, ir_excited=True)
     f_nmr[triplet] = nmr_closed_form(a_t, bs, cfg)
     f_nmr_ir[triplet] = nmr_closed_form(a_cm_t, bs, cfg)
     # singlet rows keep f_nmr == f0 exactly, so their shifts are exactly 0

@@ -55,12 +55,12 @@ def test_criterion_3_coupling_curve(default_cfg):
     for x in (0.05, 0.5 * x1):
         g = ground_state_at(default_cfg, x)
         assert g.s_total == 0
-        assert coupling_a(default_cfg, x, g.m_abs, g.s_total) == 0.0
+        assert coupling_a(default_cfg, x, g.m_abs) == 0.0
     # triplet windows: positive coupling
     for x in (0.5 * (x1 + x2), x2 + 0.5):
         g = ground_state_at(default_cfg, x)
         assert g.s_total == 1
-        assert coupling_a(default_cfg, x, g.m_abs, g.s_total) > 0.0
+        assert coupling_a(default_cfg, x, g.m_abs) > 0.0
     # drop across the (1,1)->(3,1) boundary
     ratio = delta_m(default_cfg, x2, 1) / delta_m(default_cfg, x2, 3)
     assert abs(ratio - 2.75915) <= 1e-3
@@ -106,7 +106,7 @@ def test_criterion_6_resonance_shift_curve(default_cfg):
         g = ground_state_at(default_cfg, x)
         if g.s_total == 0:
             continue
-        a = coupling_a(default_cfg, x, g.m_abs, g.s_total, ir_excited=False)
+        a = coupling_a(default_cfg, x, g.m_abs, ir_excited=False)
         scale = 0.5 * (1.0 + mu_m(g.m_abs, default_cfg.alpha_tilde))
         b = b_field_from_ratio(default_cfg, x)
         f0 = default_cfg.gamma_n * b

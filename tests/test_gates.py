@@ -111,6 +111,13 @@ def test_rotate_qubit_rejects_non_finite_axis_and_angle():
         rotate_qubit((1.0, 0.0, 0.0), math.nan)
 
 
+@pytest.mark.parametrize("angle", [True, np.True_, np.array([1.0, 2.0]), "1.0", None])
+def test_rotate_qubit_refuses_an_angle_that_is_not_a_real_number(angle):
+    message = f"^angle must be a real number, got {type(angle).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        rotate_qubit((0.0, 0.0, 1.0), angle)
+
+
 def test_gate_fidelity_rejects_nan_matrix():
     with pytest.raises(ValueError, match="u_actual is not unitary"):
         gate_fidelity(np.full((2, 2), math.nan), np.eye(2))

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dotnmr import (
     DotConfig,
-    ParityError,
     coupling_a,
     delta_cm,
     delta_m,
@@ -87,25 +86,51 @@ def test_delta_cm_fixed_point_at_mu_one():
 
 def test_coupling_singlet_is_zero(default_cfg):
     for x in (0.1, 2.6):
-        assert coupling_a(default_cfg, x, 0, 0) == 0.0
-        assert coupling_a(default_cfg, x, 0, 0, ir_excited=True) == 0.0
+        for m in (0, 2, 4):
+            assert coupling_a(default_cfg, x, m) == 0.0
+            assert coupling_a(default_cfg, x, m, ir_excited=True) == 0.0
 
 
 def test_coupling_triplet_values(default_cfg):
     x = 0.39584
     expected = 30.0 * delta_m(default_cfg, x, 1)
-    assert coupling_a(default_cfg, x, 1, 1) == pytest.approx(expected, rel=1e-14)
+    assert coupling_a(default_cfg, x, 1) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(2.4336, abs=5e-4)
-    assert coupling_a(default_cfg, x, 1, 1, ir_excited=True) == pytest.approx(
+    assert coupling_a(default_cfg, x, 1, ir_excited=True) == pytest.approx(
         1.5 * expected, rel=1e-14
     )
 
 
-def test_coupling_parity_violation(default_cfg):
-    with pytest.raises(ParityError):
-        coupling_a(default_cfg, 1.0, 2, 1)
-    with pytest.raises(ParityError):
-        coupling_a(default_cfg, 1.0, 1, 0)
+def triplet_coupling(cfg, x, m_abs, ir_excited):
+    """Reference A(m) of the triplet: 0.5 * hyperfine_c * density, with no spin factor."""
+    return 0.5 * cfg.hyperfine_c * (delta_cm if ir_excited else delta_m)(cfg, x, m_abs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 50.0), st.integers(0, 40), st.booleans(),
+       st.lists(st.integers(0, 40), min_size=1, max_size=12))
+@example(0.0, 1, False, [1, 4, 6])
+@example(2.6, 0, True, [0, 1, 2, 3])
+def test_coupling_takes_s_from_the_parity_of_m(x, m, ir, ms):
+    cfg = DotConfig()
+    a = coupling_a(cfg, x, m, ir_excited=ir)
+    if m & 1:
+        assert a == triplet_coupling(cfg, x, m, ir)  # bitwise: the spin factor is exactly 1
+    else:
+        assert a == 0.0 and math.copysign(1.0, a) == 1.0
+    m_arr = np.array(ms)
+    xs = np.linspace(x, x + 1.0, len(ms))
+    values = coupling_a(cfg, xs, m_arr, ir_excited=ir)
+    triplet = triplet_coupling(cfg, xs, m_arr, ir)
+    want = np.where(m_arr & 1 == 1, triplet, 0.0)
+    assert values.dtype == np.float64 and values.tobytes() == want.tobytes()
+
+
+def test_coupling_takes_no_spin_argument(default_cfg):
+    with pytest.raises(TypeError):
+        coupling_a(default_cfg, 1.0, 1, 1)
+    with pytest.raises(TypeError):
+        coupling_a(default_cfg, 1.0, 1, 1, True)
 
 
 def test_geometric_factor_separates_from_exponential(default_cfg):
@@ -140,9 +165,9 @@ def test_array_labels_match_scalar_calls_bitwise(default_cfg):
         (mu_m(m, default_cfg.alpha_tilde), lambda xi, mi: mu_m(mi, default_cfg.alpha_tilde)),
         (delta_m(default_cfg, x, m), lambda xi, mi: delta_m(default_cfg, xi, mi)),
         (delta_cm(default_cfg, x, m), lambda xi, mi: delta_cm(default_cfg, xi, mi)),
-        (coupling_a(default_cfg, x, m, 1), lambda xi, mi: coupling_a(default_cfg, xi, mi, 1)),
-        (coupling_a(default_cfg, x, m, 1, ir_excited=True),
-         lambda xi, mi: coupling_a(default_cfg, xi, mi, 1, ir_excited=True)),
+        (coupling_a(default_cfg, x, m), lambda xi, mi: coupling_a(default_cfg, xi, mi)),
+        (coupling_a(default_cfg, x, m, ir_excited=True),
+         lambda xi, mi: coupling_a(default_cfg, xi, mi, ir_excited=True)),
     ):
         expected = [scalar(xi, mi) for xi, mi in zip(x.tolist(), m.tolist())]
         assert values.tobytes() == np.array(expected, dtype=float).tobytes()
@@ -161,5 +186,5 @@ def test_array_labels_are_checked(default_cfg):
         delta_m(default_cfg, np.ones(3), np.array([1, -1, 3]))
     with pytest.raises(ValueError, match="m_abs must be >= 0"):
         mu_m(np.array([0, -2]), 3.0)
-    with pytest.raises(ParityError, match=r"\(\|m\|=4, S=1\)"):
-        coupling_a(default_cfg, np.ones(3), np.array([1, 4, 6]), 1)
+    with pytest.raises(ValueError, match="m_abs must be >= 0"):
+        coupling_a(default_cfg, np.ones(3), np.array([1, -2, 3]))

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from dotnmr import (
     DotConfig,
-    ParityError,
     effective_omega_ratio,
     ground_state_at,
     magic_transitions,
     mu_m,
     validate_config,
 )
-from dotnmr.spectrum import _staircase, check_parity, ground_m_abs
+from dotnmr.spectrum import _staircase, ground_m_abs
 
 
 def boundary_singlet_triplet(zeeman_slope: float, alpha_tilde: float = 3.0) -> float:
@@ -41,9 +40,10 @@ def total_ground_energy(m_abs: int, s_total: int, cfg, x):
     """Relative plus spin-Zeeman energy in hbar*omega0 (CM constant omitted).
 
     The triplet contributes minus the electron Zeeman energy over hbar*omega0,
-    (g/2) (m*/m_e) x (its S_z = -1 branch); the singlet has none.
+    (g/2) (m*/m_e) x (its S_z = -1 branch); the singlet has none.  Antisymmetry
+    allows only S = |m| & 1.
     """
-    check_parity(m_abs, s_total)
+    assert s_total == m_abs & 1, f"(|m|={m_abs}, S={s_total}) breaks the parity rule"
     energy = rel_ground_energy(m_abs, cfg.alpha_tilde, x)
     return energy - 0.5 * cfg.g_factor * cfg.mstar_ratio * x if s_total == 1 else energy
 
@@ -123,28 +123,10 @@ def test_total_energy_triplet_at_x1(default_cfg):
     assert round(expected, 7) == 2.6641020
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**6) | st.integers(0, 10**6).map(np.int64),
-       st.sampled_from([0, 1, 2, -1, 0.0, 1.0, True, False, np.int64(1)]))
-def test_check_parity_on_scalars_matches_the_array_route(m, s):
-    def error(m_abs, s_total):
-        try:
-            check_parity(m_abs, s_total)
-        except ParityError as exc:
-            return str(exc)
-
-    want = None
-    if s != int(m) % 2:
-        want = (f"(|m|={m}, S={s}) violates the parity rule: even m pairs "
-                "with S=0, odd m with S=1")
-    assert error(m, s) == want
-    assert error(np.array([m]), np.array([s])) == want
-
-
 def test_total_energy_parity_violations(default_cfg):
-    with pytest.raises(ParityError):
+    with pytest.raises(AssertionError, match=r"\(\|m\|=2, S=1\) breaks the parity rule"):
         total_ground_energy(2, 1, default_cfg, 1.0)
-    with pytest.raises(ParityError):
+    with pytest.raises(AssertionError, match=r"\(\|m\|=1, S=0\) breaks the parity rule"):
         total_ground_energy(1, 0, default_cfg, 1.0)
 
 

@@ -334,7 +334,7 @@ def scalar_sweep_row(cfg, x):
     m, s = ground.m_abs, ground.s_total
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    a, a_cm = coupling_a(cfg, x, m, s), coupling_a(cfg, x, m, s, ir_excited=True)
+    a, a_cm = coupling_a(cfg, x, m), coupling_a(cfg, x, m, ir_excited=True)
     density, density_cm = (delta_m(cfg, x, m), delta_cm(cfg, x, m)) if s else (0.0, 0.0)
     f, f_ir = (nmr_closed_form(a, b, cfg), nmr_closed_form(a_cm, b, cfg)) if s else (f0, f0)
     return (x, b, m, s, mu_m(m, cfg.alpha_tilde), density, density_cm, a, a_cm, f0, f, f_ir,
