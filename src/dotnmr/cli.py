@@ -27,6 +27,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, validate_config
 from .errors import ConfigError, DotnmrError
 from .gates import TwoQubitModel, cnot_conditional, hadamard
@@ -172,26 +174,41 @@ def _cmd_transitions(args) -> int:
 
 
 def _cmd_nmr(args) -> int:
+    """Print the resonance at --x; everything is computed first, so a failure prints nothing.
+
+    Raises FloatingPointError naming x when a value to print is not finite, as run_sweep does.
+    """
     cfg, _ = _load(args)
     x = _flag(args, "--x", positive=True)  # the bare Larmor f0 vanishes at x = 0
     ground = ground_state_at(cfg, x)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    print(f"x = {x:g}   B = {b:.6f} T   ground state (|m|,S) = {ground.label}")
-    print(f"mu_m = {mu_m(ground.m_abs, cfg.alpha_tilde):.9g}")
+    mu = mu_m(ground.m_abs, cfg.alpha_tilde)
+    lines = [f"x = {x:g}   B = {b:.6f} T   ground state (|m|,S) = {ground.label}",
+             f"mu_m = {mu:.9g}"]
+    values = [b, f0, mu]
     if ground.s_total == 0:
-        print(f"singlet window: nucleus uncoupled, f_nmr = f0 = {f0:.9g} MHz, shift = 0")
-        return 0
-    a = coupling_a(cfg, x, ground.m_abs, ir_excited=args.ir)
-    density = delta_cm(cfg, x, ground.m_abs) if args.ir else delta_m(cfg, x, ground.m_abs)
-    result = nmr_numeric(a, b, cfg)
-    print(f"ir_excited = {args.ir}")
-    print(f"delta*l0^2 = {density:.9g}   A = {a:.9g} MHz")
-    print(f"f0 = {result.f0:.9g} MHz")
-    print(f"f_nmr (numeric) = {result.f_nmr:.9g} MHz")
-    print(f"f_nmr (closed)  = {result.f_closed:.9g} MHz")
-    print(f"mixing: c1 = {result.c1:.9g}, c2 = {result.c2:.9g}")
-    print(f"relative shift = {(result.f_nmr - result.f0) / result.f0:.9g}")
+        lines.append(f"singlet window: nucleus uncoupled, f_nmr = f0 = {f0:.9g} MHz, shift = 0")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
+            a = coupling_a(cfg, x, ground.m_abs, ir_excited=args.ir)
+            density = delta_cm(cfg, x, ground.m_abs) if args.ir else delta_m(cfg, x, ground.m_abs)
+            result = nmr_numeric(a, b, cfg)
+        # f0 > 0 unless x * hbar_omega0 underflowed, which leaves no shift to report
+        shift = (result.f_nmr - result.f0) / result.f0 if result.f0 else math.nan
+        values += [a, density, *result, shift]
+        lines += [
+            f"ir_excited = {args.ir}",
+            f"delta*l0^2 = {density:.9g}   A = {a:.9g} MHz",
+            f"f0 = {result.f0:.9g} MHz",
+            f"f_nmr (numeric) = {result.f_nmr:.9g} MHz",
+            f"f_nmr (closed)  = {result.f_closed:.9g} MHz",
+            f"mixing: c1 = {result.c1:.9g}, c2 = {result.c2:.9g}",
+            f"relative shift = {shift:.9g}",
+        ]
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError(f"nmr result is not finite at x = {x}")
+    print("\n".join(lines))
     return 0
 
 

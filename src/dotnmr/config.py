@@ -9,6 +9,12 @@ Unit bookkeeping used throughout the package:
 * the magnetic field enters through the dimensionless ratio
   x = omega_c / omega_0, with omega_c = e*B/m* the cyclotron frequency.
 
+validate_config owns the rule for every DotConfig field, from its type to its
+range, and SweepSpec the rule for its own fields, so load_config only parses.
+A value must be a Python int or float (np.float64 is one) but no bool, m_max an
+int, as JSON gives them, since the manifest writes the config as JSON.  The
+require_* guards check the values computed from them where each enters.
+
 The guards compare a Python int or float directly, numpy's reductions being
 for arrays; with numpy's route for all values, spin-gates work_per_ref read
 0.1213 -> 0.0881 (-27 %, worse in 5/5 alternated 30 s pairs of bench/run.py,
@@ -56,16 +62,27 @@ class DotConfig:
 
 
 CONFIG_FIELDS = tuple(f.name for f in fields(DotConfig))
+# JSON types and their name in errors, by annotation text (annotations are postponed here)
+_JSON_TYPES = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+               "bool": ((bool,), "a boolean")}
+
+
+def require_field_types(obj) -> None:
+    """Raise ConfigError naming obj's first field, in order, not of its annotated JSON type."""
+    for name, value in vars(obj).items():
+        types, noun = _JSON_TYPES[obj.__dataclass_fields__[name].type]
+        if type(value) not in types and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 def validate_config(cfg: DotConfig) -> DotConfig:
     """Check all parameter invariants; returns cfg unchanged when valid.
 
-    Raises ConfigError naming the offending field.  Soft inconsistencies
-    (gamma_e not matching g_factor, weak gamma_e/gamma_n hierarchy) only warn.
+    Types come first, then finiteness, then ranges, each raising ConfigError naming
+    the field.  Soft inconsistencies (gamma_e vs g_factor, gamma_e/gamma_n) only warn.
     """
-    for name in CONFIG_FIELDS:
-        value = getattr(cfg, name)
+    require_field_types(cfg)
+    for name, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
     if not cfg.hbar_omega0 > 0:
@@ -74,8 +91,6 @@ def validate_config(cfg: DotConfig) -> DotConfig:
         raise ConfigError(f"mstar_ratio must be > 0, got {cfg.mstar_ratio}")
     if cfg.g_factor < 0:
         raise ConfigError(f"g_factor is |g*| and must be >= 0, got {cfg.g_factor}")
-    if not isinstance(cfg.m_max, int) or isinstance(cfg.m_max, bool):
-        raise ConfigError(f"m_max must be an integer, got {cfg.m_max!r}")
     if cfg.m_max < 5:
         raise ConfigError(f"m_max must be >= 5, got {cfg.m_max}")
     if not cfg.gamma_n > 0:
@@ -110,18 +125,27 @@ def require_non_negative(name: str, value) -> None:
     """Raise ValueError unless value (a number or an array) is >= 0 throughout; NaN fails.
 
     A Python scalar is compared directly, since numpy costs microseconds per call; an
-    array's minimum is NaN if any entry is.
+    array's minimum is NaN if any entry is.  The message shows a scalar itself and an
+    array's first failing entry.
     """
     if not (value >= 0 if isinstance(value, (int, float))
             else np.asarray(value).min(initial=0) >= 0):
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {_first_failing(value, lambda v: v >= 0)}")
 
 
 def require_finite_non_negative(name: str, value) -> None:
     """require_non_negative, and raise ValueError naming value where it is +inf."""
     require_non_negative(name, value)
     if not (value if isinstance(value, (int, float)) else np.max(value, initial=0)) < math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {_first_failing(value, np.isfinite)}")
+
+
+def _first_failing(value, passes):
+    """value if a Python scalar, else the first entry of the array value where passes fails."""
+    if isinstance(value, (int, float)):
+        return value
+    flat = np.ravel(value)
+    return flat[np.argmin(passes(flat))]
 
 
 def b_field_from_ratio(cfg: DotConfig, x):

@@ -33,10 +33,12 @@ def _center_scales(alpha_tilde: float, top: int) -> np.ndarray:
     """Read-only pi 2^(1 + mu_m) for |m| = 0..top, each by Python's pow.
 
     numpy's vectorized pow can differ from Python's in the last bit, so |m|
-    gathers from this table to keep Python's value.
+    gathers from this table to keep Python's value.  Where 2^(1 + mu_m)
+    overflows (1 + mu_m >= 1024), which Python's pow raises on, the entry is
+    inf, as IEEE arithmetic gives, so the density there is exactly 0.
     """
     mu = mu_m(np.arange(top + 1), alpha_tilde).tolist()
-    table = np.array([math.pi * 2.0 ** (1.0 + v) for v in mu])
+    table = np.array([math.pi * 2.0 ** (1.0 + v) if 1.0 + v < 1024.0 else math.inf for v in mu])
     table.flags.writeable = False
     return table
 

@@ -1,5 +1,7 @@
 """CSV and SVG emission from Sweep columns, run manifests, JSON config ingestion.
 
+load_config parses a config file; validate_config and SweepSpec check its values.
+
 All emitted bytes are deterministic: CSV numbers are Python's "%.9g" (9
 significant digits; "%d" for the two label columns) and SVG point
 coordinates its "%.2f", newlines are '\\n', and nothing date- or
@@ -45,10 +47,6 @@ SVG_HEIGHT = 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 84, 20, 20, 56
 
 _SWEEP_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
-# the JSON type each config key takes, and its name in errors; a bool is no number
-_NUMBER, _INTEGER = ((int, float), "a number"), (int, "an integer")
-_CONFIG_TYPES = {**dict.fromkeys(CONFIG_FIELDS, _NUMBER), "m_max": _INTEGER}
-_SWEEP_TYPES = {"x_min": _NUMBER, "x_max": _NUMBER, "steps": _INTEGER, "ir": (bool, "a boolean")}
 _CONFIG_KEYS = frozenset(CONFIG_FIELDS + ("sweep",))
 # NaN/Infinity/-Infinity stay literal text, so the type checks reject them by key
 _DECODER = json.JSONDecoder(parse_constant=str)
@@ -205,7 +203,8 @@ def emit_svg(sweep: Sweep, y_column: str, path) -> WrittenPath:
 def load_config(path) -> tuple[DotConfig, SweepSpec]:
     """Strict JSON config: dot parameters at top level, grid under "sweep".
 
-    Absent keys fall back to defaults; unknown keys are rejected by name.
+    Absent keys fall back to defaults; unknown keys are rejected by name, and
+    validate_config and SweepSpec check the values, a grid error as "sweep.<message>".
     One bytes read and one shared decoder, with json.loads's BOM check and text
     mode's newlines kept so messages match; an unreadable or non-UTF-8 file fails.
     """
@@ -230,25 +229,18 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
     unknown = sorted(data.keys() - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    _require_types(data, _CONFIG_TYPES, "")
     cfg = validate_config(DotConfig(**{key: data[key] for key in CONFIG_FIELDS if key in data}))
 
     sweep_data = data.get("sweep", {})
     if not isinstance(sweep_data, dict):
         raise ConfigError("'sweep' must be a JSON object")
-    unknown = sorted(sweep_data.keys() - _SWEEP_TYPES.keys())
+    unknown = sorted(sweep_data.keys() - _SWEEP_SPEC_FIELDS)
     if unknown:
         raise ConfigError(f"unknown sweep key(s): {', '.join(unknown)}")
-    _require_types(sweep_data, _SWEEP_TYPES, "sweep.")
-    return cfg, SweepSpec(**sweep_data)
-
-
-def _require_types(data: dict, types: dict, prefix: str) -> None:
-    """Raise ConfigError at the first key, in the order of types, holding a wrong JSON type."""
-    for key, (kind, noun) in types.items():
-        if key in data and (not isinstance(data[key], kind)
-                            or isinstance(data[key], bool) and kind is not bool):
-            raise ConfigError(f"{prefix}{key} must be {noun}, got {data[key]!r}")
+    try:
+        return cfg, SweepSpec(**sweep_data)
+    except ConfigError as exc:  # name the key as the file spells it
+        raise ConfigError(f"sweep.{exc}") from None
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,10 @@ def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
     while a < cfg.m_max:
         next_x, next_b = math.inf, None
         for b in range(a + 1, cfg.m_max + 1):
-            k = (b - a + zeeman_slope * (spin[b] - spin[a])) / (mu[b] - mu[a])
+            d_slope, d_mu = b - a + zeeman_slope * (spin[b] - spin[a]), mu[b] - mu[a]
+            # mu_b == mu_a once alpha_tilde swamps m^2 (~4.5e15): b then undercuts a at
+            # every x > 0 (k = +inf, x* = 0) if its slope is steeper, and never if not
+            k = d_slope / d_mu if d_mu else (math.inf if d_slope > 0 else -math.inf)
             # strict < keeps the smaller |m| on a tie
             if k > 1.0 and (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
                 next_x, next_b = x_b, b

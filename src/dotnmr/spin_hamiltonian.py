@@ -187,13 +187,20 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
 
 
 def relative_shift(cfg: DotConfig, x: float, ir_excited: bool = False) -> float:
-    """Relative resonance shift (f - f0)/f0 at ratio x; exactly 0 for singlets."""
+    """Relative resonance shift (f - f0)/f0 at ratio x; exactly 0 for singlets.
+
+    Raises FloatingPointError naming x when the shift is not finite, as run_sweep does.
+    """
     if not x > 0:
         raise ValueError(f"x must be > 0 (f0 vanishes at B=0), got {x}")
     ground = ground_state_at(cfg, x)
     if ground.s_total == 0:
         return 0.0
-    a = coupling_a(cfg, x, ground.m_abs, ir_excited=ir_excited)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    return (nmr_closed_form(a, b, cfg) - f0) / f0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        a = coupling_a(cfg, x, ground.m_abs, ir_excited=ir_excited)
+        shift = (nmr_closed_form(a, b, cfg) - f0) / f0
+    if not math.isfinite(shift):
+        raise FloatingPointError(f"relative shift is not finite at x = {x}")
+    return shift

@@ -5,6 +5,10 @@ excitation of the center of mass) and the resulting nuclear resonance are
 evaluated column-wise, over all triplet rows at once.  In singlet windows
 the nucleus is decoupled: the coupling and shift columns are exactly 0 and
 both resonance columns equal the bare Larmor frequency.
+
+SweepSpec checks its fields' types and its bounds' finiteness when built;
+run_sweep checks the grid's ranges and its own steps, which may be a numpy
+integer there.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz
+from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_field_types
 from .errors import ConfigError
 from .hyperfine import coupling_a, delta_cm, delta_m
 from .spectrum import ground_m_abs, ground_state_at, mu_m, spin_for_m
@@ -46,7 +50,7 @@ SWEEP_COLUMNS = Sweep._fields
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of the default sweep; ir selects the IR column for plotting."""
+    """Grid of the default sweep; ir selects the IR column for plotting.  Checked when built."""
 
     x_min: float = 0.05
     x_max: float = 5.0
@@ -54,6 +58,7 @@ class SweepSpec:
     ir: bool = False
 
     def __post_init__(self):
+        require_field_types(self)
         for name in ("x_min", "x_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

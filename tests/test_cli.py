@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -148,6 +149,40 @@ def test_exit_code_for_overflowing_x(tmp_path, monkeypatch, capsys, command, x):
     assert main(command) == 2
     assert f"not finite at x = {x}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("text", ['{"hyperfine_c": 1e308}', '{"hbar_omega0": 1e-320}'])
+def test_nmr_exits_2_naming_x_before_printing_a_non_finite_resonance(tmp_path, capsys, text):
+    # f_nmr (closed) overflows at hyperfine_c = 1e308 and the shift at hbar_omega0 = 1e-320;
+    # pytest turns an escaping RuntimeWarning into an error
+    (tmp_path / "c.json").write_text(text)
+    assert main(["nmr", "--x", "1.0", "--config", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr() == ("", "numerical failure: nmr result is not finite at x = 1.0\n")
+
+
+def test_sweep_guard_message_names_one_value_of_an_array(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text('{"mstar_ratio": 1e308}')
+    assert main(["sweep", "--steps", "100000", "--config", "c.json"]) == 2
+    assert capsys.readouterr().err == "numerical failure: b_tesla must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("alpha_tilde", [2e6, 1e40])
+def test_huge_alpha_tilde_leaves_the_nucleus_uncoupled(tmp_path, monkeypatch, capsys, alpha_tilde):
+    # 2^(1 + mu_m) overflows from alpha_tilde ~ 1.05e6, and every mu_m rounds equal from ~4.5e15
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"alpha_tilde": alpha_tilde}))
+    for command in (["transitions"], ["nmr", "--x", "1.0"], ["nmr", "--x", "1.0", "--ir"],
+                    ["sweep", "--steps", "50", "--svg"]):
+        with pytest.warns(UserWarning, match="m_max=15"):
+            assert main([*command, "--config", "c.json"]) == 0
+    with (tmp_path / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["m_abs"] for row in rows} == {"15"}
+    assert all(float(row["a_mhz"]) == float(row["a_cm_mhz"]) == 0.0 for row in rows)
+    assert all(abs(float(row["shift"])) < 1e-12 for row in rows)
+    out = capsys.readouterr().out
+    assert out.count("A = 0 MHz") == 2
 
 
 def test_exit_code_for_usage_error(capsys):

@@ -1,4 +1,7 @@
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +15,12 @@ from dotnmr import (
     b_field_from_ratio,
     validate_config,
 )
-from dotnmr.config import MU_B_MHZ_PER_T, require_finite_non_negative, require_non_negative
+from dotnmr.config import (
+    CONFIG_FIELDS,
+    MU_B_MHZ_PER_T,
+    require_finite_non_negative,
+    require_non_negative,
+)
 from dotnmr.spectrum import effective_omega_ratio
 from dotnmr.spin_hamiltonian import nmr_closed_form
 
@@ -54,6 +62,39 @@ def test_default_config_accepted(default_cfg):
 def test_invalid_config_names_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         validate_config(DotConfig(**kwargs))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g_factor", True),
+    ("hyperfine_c", True),
+    ("hbar_omega0", "2.5"),
+    ("alpha_tilde", None),
+    ("gamma_n", 1 + 0j),
+    ("hbar_omega0", Decimal("2.5")),
+    ("hbar_omega0", np.float32(2.5)),
+    ("hyperfine_c", Fraction(60)),
+])
+def test_library_config_refuses_a_non_json_number_by_field(field, value):
+    # the rule load_config's JSON values meet, with the same message
+    with pytest.raises(ConfigError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+        validate_config(DotConfig(**{field: value}))
+
+
+def test_float64_passes_and_float32_fails_every_number_field():
+    float_fields = [name for name in CONFIG_FIELDS if name != "m_max"]
+    default = DotConfig()
+    as_float64 = DotConfig(**{name: np.float64(getattr(default, name)) for name in float_fields})
+    assert validate_config(as_float64) == default
+    for name in float_fields:
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got np.float32"):
+            validate_config(DotConfig(**{name: np.float32(getattr(default, name))}))
+
+
+def test_types_are_checked_for_every_field_before_finiteness():
+    with pytest.raises(ConfigError, match="^m_max must be an integer, got 7.5$"):
+        validate_config(DotConfig(alpha_tilde=math.nan, m_max=7.5))
+    with pytest.raises(ConfigError, match="^gamma_n must be a number, got True$"):
+        validate_config(DotConfig(hbar_omega0=math.inf, gamma_n=True))
 
 
 def test_weak_gamma_hierarchy_warns():
@@ -120,6 +161,23 @@ def test_guards_on_python_scalars_match_the_array_route(value):
     assert error(require_finite_non_negative, value) == want
     for check in (require_non_negative, require_finite_non_negative):
         assert (error(check, np.array([value])) is None) == (error(check, value) is None)
+
+
+@pytest.mark.parametrize("values, shown", [
+    ([1.0, -2.0, -3.0], "-2.0"),
+    ([0.5, np.nan, -1.0], "nan"),
+    ([[0.0, 1.0], [-0.25, 2.0]], "-0.25"),
+])
+def test_non_negative_guard_names_an_arrays_first_failing_entry(values, shown):
+    with pytest.raises(ValueError, match=f"^v must be >= 0, got {shown}$"):
+        require_non_negative("v", np.array(values))
+
+
+def test_finite_guard_names_an_arrays_first_failing_entry():
+    values = np.full(100_000, 1e308)
+    values[7:] = np.inf
+    with pytest.raises(ValueError, match="^v must be finite, got inf$"):
+        require_finite_non_negative("v", values)
 
 
 def test_b_field_linear_in_x(default_cfg):

@@ -188,3 +188,15 @@ def test_array_labels_are_checked(default_cfg):
         mu_m(np.array([0, -2]), 3.0)
     with pytest.raises(ValueError, match="m_abs must be >= 0"):
         coupling_a(default_cfg, np.ones(3), np.array([1, -2, 3]))
+
+
+def test_density_is_exactly_zero_where_two_to_the_mu_overflows():
+    # 1 + mu_0 is 1001.0 at alpha_tilde 1e6 and 1415.2 at 2e6; Python's 2.0 ** y raises
+    # from y = 1024, and pi 2^y already overflows to inf a little below it
+    finite, overflowing = DotConfig(alpha_tilde=1e6), DotConfig(alpha_tilde=2e6)
+    assert 0.0 < delta_m(finite, 1.0, 1) < 1e-300
+    assert np.isinf(_center_scale(np.arange(16), overflowing.alpha_tilde)).all()
+    for m in (0, 1, np.array([1, 3, 15])):
+        assert np.all(delta_m(overflowing, 1.0, m) == 0.0)
+        assert np.all(delta_cm(overflowing, 1.0, m) == 0.0)
+        assert np.all(coupling_a(overflowing, 1.0, m, ir_excited=True) == 0.0)

@@ -372,3 +372,17 @@ def test_ground_m_abs_names_the_first_overflowing_x(default_cfg):
 def test_staircase_rejects_a_nan_config_value_by_name(field):
     with pytest.raises(ValueError, match=field):
         ground_state_at(DotConfig(**{field: math.nan}), 1.0)
+
+
+@pytest.mark.parametrize("g, m_max, ground", [(2.0, 15, 15), (10.0, 16, 15)])
+def test_equal_mu_labels_cross_at_zero_or_never(g, m_max, ground):
+    # at alpha_tilde = 1e40 every mu_m rounds to 1e20, so E_b - E_a = -x/2 (d|m| + g m* dS):
+    # b undercuts a at every x > 0 when that slope is positive, and never when it is not
+    # (g m* = 1.9 keeps an odd |m| below the even |m| + 1 above it)
+    cfg = DotConfig(alpha_tilde=1e40, g_factor=g, mstar_ratio=0.19, m_max=m_max)
+    crossings, labels = _staircase(cfg)
+    assert crossings.tolist() == [] and labels.tolist() == [ground]
+    assert ground_m_abs(cfg, np.array([1e-300, 1.0, 5.0])).tolist() == [ground] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the first walk ends at m_max
+        assert magic_transitions(cfg, 1e-6, 5.0) == []

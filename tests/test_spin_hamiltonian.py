@@ -16,6 +16,7 @@ from dotnmr import (
     nmr_closed_form,
     nmr_numeric,
     relative_shift,
+    validate_config,
 )
 from dotnmr.spectrum import magic_transitions
 from dotnmr.spin_hamiltonian import spin_basis
@@ -206,6 +207,15 @@ def test_relative_shift_at_onset(default_cfg):
 def test_relative_shift_requires_positive_x(default_cfg):
     with pytest.raises(ValueError):
         relative_shift(default_cfg, 0.0)
+
+
+@pytest.mark.parametrize("field, value", [("hyperfine_c", 1e308), ("hbar_omega0", 1e-320)])
+def test_relative_shift_names_x_where_the_shift_is_not_finite(field, value):
+    # A overflows the closed form's square at hyperfine_c = 1e308, and f0 is subnormal at
+    # hbar_omega0 = 1e-320; pytest turns an escaping RuntimeWarning into an error
+    cfg = validate_config(DotConfig(**{field: value}))
+    with pytest.raises(FloatingPointError, match=r"^relative shift is not finite at x = 1\.0$"):
+        relative_shift(cfg, 1.0)
 
 
 def test_build_matrix_rejects_negative_inputs(default_cfg):

@@ -491,6 +491,26 @@ def test_svg_deterministic(tmp_path, default_sweep):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("field, value, noun", [
+    ("steps", 2.5, "an integer"),
+    ("steps", True, "an integer"),
+    ("ir", "yes", "a boolean"),
+    ("x_min", True, "a number"),
+    ("x_max", None, "a number"),
+    ("steps", np.int64(5), "an integer"),
+])
+def test_sweep_spec_refuses_a_non_json_type_by_field(field, value, noun):
+    message = f"{field} must be {noun}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**{field: value})
+
+
+def test_sweep_spec_takes_float64_bounds_and_checks_types_before_finiteness():
+    assert SweepSpec(np.float64(0.05), np.float64(5.0)) == SweepSpec()
+    with pytest.raises(ConfigError, match="^steps must be an integer, got 2.5$"):
+        SweepSpec(x_min=math.inf, steps=2.5)
+
+
 def test_load_config_empty_object(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -594,7 +614,10 @@ def reference_load_config(path):
         raise ConfigError(f"sweep.steps must be an integer, got {sweep_data['steps']!r}")
     if "ir" in sweep_data and not isinstance(sweep_data["ir"], bool):
         raise ConfigError(f"sweep.ir must be a boolean, got {sweep_data['ir']!r}")
-    return cfg, SweepSpec(**sweep_data)
+    try:
+        return cfg, SweepSpec(**sweep_data)
+    except ConfigError as exc:  # a grid error names the key as the file spells it
+        raise ConfigError(f"sweep.{exc}") from None
 
 
 def outcome(load, path):
@@ -625,6 +648,8 @@ def assert_loads_like_json_loads(path, data: bytes):
     b'{"hyperfine_c": -Infinity}',
     b'{"hyperfine_c": 1e999}',
     b'{"sweep": {"x_max": NaN}}',
+    b'{"sweep": {"x_max": 1e999}}',
+    b'{"sweep": {"x_min": -1e999, "steps": 3}}',
     b'{"m_max": 7.0}',
     b'{"m_max": true}',
     b'{"sweep": {"ir": 1}}',
@@ -685,6 +710,36 @@ def test_load_config_matches_json_loads_route_on_drawn_files(
         text = text.replace(json.dumps(json.dumps(constant)), constant)
     text = ("\ufeff" if bom else "") + text.replace("\n", newline)[:cut]
     assert_loads_like_json_loads(scratch_dir / "cfg.json", text.encode("utf-8"))
+
+
+def library_route(data: dict):
+    """(cfg, spec) built from data's values directly, a grid error prefixed as load_config does."""
+    cfg = validate_config(DotConfig(**{k: v for k, v in data.items() if k != "sweep"}))
+    try:
+        return cfg, SweepSpec(**data.get("sweep", {}))
+    except ConfigError as exc:
+        raise ConfigError(f"sweep.{exc}") from None
+
+
+# every JSON value type, with infinities written as 1e999 (a float to json.loads)
+JSON_VALUES = (st.floats(allow_nan=False) | st.integers(-10, 40) | st.booleans() | st.none()
+               | st.text(alphabet="ab5.", max_size=3) | st.lists(st.integers(0, 9), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    config=st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_VALUES, max_size=4),
+    sweep=st.none() | st.dictionaries(st.sampled_from(["x_min", "x_max", "steps", "ir"]),
+                                      JSON_VALUES, max_size=4),
+)
+def test_library_route_and_load_config_agree_on_json_dicts(scratch_dir, config, sweep):
+    if sweep is not None:
+        config["sweep"] = sweep
+    text = json.dumps(config).replace("-Infinity", "-1e999").replace("Infinity", "1e999")
+    path = scratch_dir / "lib.json"
+    path.write_text(text)
+    assert json.loads(text) == config
+    assert outcome(load_config, path) == outcome(lambda _: library_route(config), path)
 
 
 def reference_manifest_bytes(cfg, spec, paths) -> bytes:
