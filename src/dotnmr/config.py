@@ -75,6 +75,20 @@ def require_field_types(obj) -> None:
             raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
+def require_finite_field(name: str, value) -> None:
+    """Raise ConfigError naming the int or float field name unless value is finite as a float.
+
+    An int too large for a float fails too; its message does not show it, since
+    str() of an int over 4,300 digits raises as well.
+    """
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
+    raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def validate_config(cfg: DotConfig) -> DotConfig:
     """Check all parameter invariants; returns cfg unchanged when valid.
 
@@ -83,8 +97,7 @@ def validate_config(cfg: DotConfig) -> DotConfig:
     """
     require_field_types(cfg)
     for name, value in vars(cfg).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+        require_finite_field(name, value)
     if not cfg.hbar_omega0 > 0:
         raise ConfigError(f"hbar_omega0 must be > 0, got {cfg.hbar_omega0}")
     if not cfg.mstar_ratio > 0:

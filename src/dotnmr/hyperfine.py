@@ -14,7 +14,8 @@ singlet of an even |m| is uncoupled, so A is exactly 0 there.
 
 Each function takes x as a float or an array and |m| as an int or an int
 array of x's shape, so a sweep evaluates all its triplet rows in one call;
-an array entry equals the scalar call's value bitwise.
+an array entry equals the scalar call's value bitwise.  pi 2^(1+mu_m) is one
+table per alpha_tilde, |m| = 0..1022; a larger |m| reads its inf last entry.
 """
 
 from __future__ import annotations
@@ -29,29 +30,26 @@ from .spectrum import effective_omega_ratio, mu_m, spin_for_m
 
 
 @functools.lru_cache(maxsize=64)
-def _center_scales(alpha_tilde: float, top: int) -> np.ndarray:
-    """Read-only pi 2^(1 + mu_m) for |m| = 0..top, each by Python's pow.
+def _center_scales(alpha_tilde: float) -> np.ndarray:
+    """Read-only pi 2^(1 + mu_m) for |m| = 0..1022, each by Python's pow.
 
     numpy's vectorized pow can differ from Python's in the last bit, so |m|
-    gathers from this table to keep Python's value.  Where 2^(1 + mu_m)
-    overflows (1 + mu_m >= 1024), which Python's pow raises on, the entry is
-    inf, as IEEE arithmetic gives, so the density there is exactly 0.
+    gathers from this table to keep Python's value.  Where pi 2^(1 + mu_m)
+    overflows the entry is inf, as IEEE arithmetic gives (Python's pow raises
+    from 2^1024 on), so the density there is exactly 0.  From |m| = 1022 on,
+    pi 2^(1 + mu_m) >= pi 2^1023 overflows for every alpha_tilde >= 0, so the
+    table ends there.
     """
-    mu = mu_m(np.arange(top + 1), alpha_tilde).tolist()
+    mu = mu_m(np.arange(1023), alpha_tilde).tolist()
     table = np.array([math.pi * 2.0 ** (1.0 + v) if 1.0 + v < 1024.0 else math.inf for v in mu])
     table.flags.writeable = False
     return table
 
 
-def _center_scale(m_abs, alpha_tilde: float):
-    """pi 2^(1 + mu_m) for an int |m|, or an int array of them."""
-    require_non_negative("m_abs", m_abs)
-    return _center_scales(alpha_tilde, int(np.asarray(m_abs).max(initial=0))).take(m_abs)
-
-
 def delta_m(cfg: DotConfig, x, m_abs):
     """Electron density at the nucleus, CM in its ground state, in 1/l0^2."""
-    return effective_omega_ratio(x) / _center_scale(m_abs, cfg.alpha_tilde)
+    require_non_negative("m_abs", m_abs)
+    return effective_omega_ratio(x) / _center_scales(cfg.alpha_tilde).take(m_abs, mode="clip")
 
 
 def delta_cm(cfg: DotConfig, x, m_abs):

@@ -87,8 +87,13 @@ def require_hermitian(h) -> np.ndarray:
 def _check_hermitian_array(a: np.ndarray) -> None:
     """require_hermitian's rule on an array that _square has already returned."""
     scale = float(np.abs(a).max())
-    # a non-finite matrix is not subtracted (inf - inf warns)
-    mismatch = float(np.abs(a - a.conj().T).max()) if math.isfinite(scale) else math.nan
+    if 2.0 * scale < math.inf:
+        mismatch = float(np.abs(a - a.conj().T).max())
+    elif math.isfinite(scale):  # H - H^dag may overflow to inf, as the 2x2 check's does
+        with np.errstate(over="ignore"):
+            mismatch = float(np.abs(a - a.conj().T).max())
+    else:  # a non-finite matrix is not subtracted (inf - inf warns)
+        mismatch = math.nan
     _check_hermitian(scale, mismatch)
 
 
@@ -220,6 +225,12 @@ def evolve(h, psi, t: float) -> np.ndarray:
         phase = cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t)
         return np.array([phase * (u00 * p0 + u01 * p1), phase * (u10 * p0 + u11 * p1)])
     values, vectors = _eigh(a)
+    ascending = values.tolist()
+    lam = max(-ascending[0], ascending[-1])  # max |lambda|
+    theta = 2.0 * math.pi * lam * t
+    if not math.isfinite(theta):  # as in _spin_half_entries
+        raise ValueError(f"propagator phase overflows: 2 pi max|lambda| t = {theta} "
+                         f"for max|lambda| = {lam}, t = {t}")
     phases = np.exp(-2j * math.pi * values * t)
     return vectors @ (phases * (vectors.conj().T @ state))
 

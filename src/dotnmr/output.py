@@ -223,6 +223,8 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
         raise ConfigError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal over Python's int-string digit limit
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
 

@@ -13,13 +13,13 @@ integer there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_field_types
+from .config import (DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_field_types,
+                     require_finite_field)
 from .errors import ConfigError
 from .hyperfine import coupling_a, delta_cm, delta_m
 from .spectrum import ground_m_abs, ground_state_at, mu_m, spin_for_m
@@ -59,9 +59,8 @@ class SweepSpec:
 
     def __post_init__(self):
         require_field_types(self)
-        for name in ("x_min", "x_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite_field("x_min", self.x_min)
+        require_finite_field("x_max", self.x_max)
 
 
 def sweep_row(cfg: DotConfig, x) -> Sweep:

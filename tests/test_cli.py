@@ -135,6 +135,25 @@ def test_exit_code_for_non_finite_config_value(
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["transitions"], ["nmr", "--x", "1"], ["sweep"]])
+@pytest.mark.parametrize("text, key", [
+    ('{"hbar_omega0": 1%s}' % ("0" * 400), "hbar_omega0 must be finite"),
+    ('{"sweep": {"x_max": 1%s}}' % ("0" * 400), "sweep.x_max must be finite"),
+    ('{"m_max": 1%s}' % ("0" * 400), "m_max must be finite"),
+    ('{"alpha_tilde": 1%s}' % ("0" * 5000), "invalid JSON in big.json: Exceeds the limit"),
+])
+def test_an_int_too_large_for_a_float_exits_1_before_printing(
+    tmp_path, monkeypatch, capsys, command, text, key
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(text)
+    assert main([*command, "--config", "big.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {key}")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, x",
     [

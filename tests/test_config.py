@@ -18,6 +18,7 @@ from dotnmr import (
 from dotnmr.config import (
     CONFIG_FIELDS,
     MU_B_MHZ_PER_T,
+    require_finite_field,
     require_finite_non_negative,
     require_non_negative,
 )
@@ -95,6 +96,17 @@ def test_types_are_checked_for_every_field_before_finiteness():
         validate_config(DotConfig(alpha_tilde=math.nan, m_max=7.5))
     with pytest.raises(ConfigError, match="^gamma_n must be a number, got True$"):
         validate_config(DotConfig(hbar_omega0=math.inf, gamma_n=True))
+
+
+@pytest.mark.parametrize("name", CONFIG_FIELDS)
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_an_int_too_large_for_a_float_is_refused_by_name(name, digits):
+    # float() of it raises OverflowError, and str() of one over 4,300 digits raises too
+    big = 10 ** digits
+    message = f"{name} must be finite, got an integer too large for a float"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate_config(DotConfig(**{name: big}))
+    require_finite_field(name, int(np.finfo(float).max))  # the largest int that converts
 
 
 def test_weak_gamma_hierarchy_warns():

@@ -387,3 +387,13 @@ def test_cnot_conditional_reads_the_entries_of_the_register_pulse(f_b, j, ratio)
     overlap = 4.0 * max(abs(a + 1j * b), abs(a - 1j * b)) ** 2
     assert report.fidelity == (overlap + 4.0) / 20.0
     assert report.residual_offresonant_population == max(abs(u[0, 1]) ** 2, abs(u[1, 0]) ** 2)
+
+
+def test_argument_shapes_and_targets_are_refused_by_name():
+    with pytest.raises(ValueError, match=r"^axis must be a 3-vector, got shape \(2,\)$"):
+        rotate_qubit((1.0, 0.0), math.pi)
+    model = TwoQubitModel(f_a=17.0, f_b=17.5, j_coupling=0.01)
+    with pytest.raises(ValueError, match="^target must be 0 \\(qubit a\\) or 1 \\(qubit b\\), got 2$"):
+        rwa_pulse(model, PulseSpec(carrier=17.0, rabi=0.001, duration=1.0), target=2)
+    with pytest.raises(ValueError, match=r"^u_actual must be square, got shape \(2, 3\)$"):
+        gate_fidelity(np.zeros((2, 3)), np.eye(2))

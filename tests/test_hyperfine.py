@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from dotnmr import (
     delta_m,
     mu_m,
 )
-from dotnmr.hyperfine import _center_scale
+from dotnmr.hyperfine import _center_scales
 
 
 def density_quadrature(x: float) -> float:
@@ -177,8 +178,8 @@ def test_array_labels_match_scalar_calls_bitwise(default_cfg):
 @given(st.integers(0, 60), st.floats(0.0, 1e3))
 def test_center_scale_is_pythons_pow_bitwise(m, alpha):
     want = math.pi * 2.0 ** (1.0 + math.sqrt(m * m + alpha))
-    assert _center_scale(m, alpha) == want
-    assert _center_scale(np.array([m, m]), alpha).tolist() == [want, want]
+    assert _center_scales(alpha)[m] == want
+    assert _center_scales(alpha).take(np.array([m, m])).tolist() == [want, want]
 
 
 def test_array_labels_are_checked(default_cfg):
@@ -195,8 +196,39 @@ def test_density_is_exactly_zero_where_two_to_the_mu_overflows():
     # from y = 1024, and pi 2^y already overflows to inf a little below it
     finite, overflowing = DotConfig(alpha_tilde=1e6), DotConfig(alpha_tilde=2e6)
     assert 0.0 < delta_m(finite, 1.0, 1) < 1e-300
-    assert np.isinf(_center_scale(np.arange(16), overflowing.alpha_tilde)).all()
+    assert np.isinf(_center_scales(overflowing.alpha_tilde)).all()
     for m in (0, 1, np.array([1, 3, 15])):
         assert np.all(delta_m(overflowing, 1.0, m) == 0.0)
         assert np.all(delta_cm(overflowing, 1.0, m) == 0.0)
         assert np.all(coupling_a(overflowing, 1.0, m, ir_excited=True) == 0.0)
+
+
+def test_one_table_of_1023_entries_serves_every_m(default_cfg):
+    # from |m| = 1022 on, pi 2^(1 + mu_m) >= pi 2^1023 overflows for every alpha_tilde >= 0
+    assert list(inspect.signature(_center_scales).parameters) == ["alpha_tilde"]
+    _center_scales.cache_clear()
+    for m in (0, 3, 15, 1021, 1022, 1023, 10**6, np.arange(40) | 1,
+              np.array([3, 10**6, 1021])):
+        delta_m(default_cfg, 2.5, m)
+        coupling_a(default_cfg, 2.5, m, ir_excited=True)
+    info = _center_scales.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    table = _center_scales(default_cfg.alpha_tilde)
+    assert table.shape == (1023,) and not table.flags.writeable
+    assert math.isfinite(table[1021]) and table[1022] == math.inf
+
+
+@pytest.mark.parametrize("m, want", [
+    # delta_m, delta_cm, coupling_a and its IR value at x = 2.5 for the default config
+    (1021, (2.2652400640389175e-308, 1.1575393367090249e-305, 6.795720192116752e-307,
+            3.4726180101270745e-304)),
+    (1022, (0.0, 0.0, 0.0, 0.0)),
+    (1023, (0.0, 0.0, 0.0, 0.0)),
+    (10**6, (0.0, 0.0, 0.0, 0.0)),
+])
+def test_density_at_the_end_of_the_table(default_cfg, m, want):
+    got = (delta_m(default_cfg, 2.5, m), delta_cm(default_cfg, 2.5, m),
+           coupling_a(default_cfg, 2.5, m), coupling_a(default_cfg, 2.5, m, ir_excited=True))
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    ms = np.array([m, 1, m])
+    assert delta_m(default_cfg, 2.5, ms)[[0, 2]].tolist() == [want[0], want[0]]

@@ -527,3 +527,46 @@ def test_lapack_nonconvergence_raises_numpy_linalg_eighs_error(monkeypatch):
             hermitian_eig(h)
         with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
             evolve(h, np.ones(len(h)), 0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_evolve_raises_on_an_overflowing_phase_at_every_dim(n, sign):
+    # 2 pi lambda t overflows at t = 1e308; the largest |lambda| is the first
+    # eigenvalue for sign -1 and the last for sign +1.  No route may warn or
+    # return NaN (pytest turns a RuntimeWarning into an error)
+    h = np.diag(sign * np.arange(1.0, n + 1))
+    psi = np.ones(n) / math.sqrt(n)
+    kind, message = _error(evolve, h, psi, 1e308)
+    assert kind is ValueError
+    assert message.startswith("propagator phase overflows: 2 pi ")
+    assert evolve(h, psi, 0.0).tolist() == psi.tolist()
+
+
+# 2x2s whose 2 max|H|, max|H| or H - H^dag overflows: the scalar and the array
+# Hermitian checks must report each alike, and a dim-4 block of it too
+_OVERFLOWING_2X2 = [
+    np.array([[1e308, -1e308], [1e308, 1e308]]),
+    # |1.5e308 + 1.5e308j| overflows: Python's abs raises, numpy's gives inf
+    np.array([[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]]),
+    # h01 - conj(h10) = 1.5e308 + 1.5e308j, whose abs overflows
+    np.array([[0.0, 1e308 + 1e308j], [-5e307 + 5e307j, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("h", _OVERFLOWING_2X2)
+def test_overflowing_hermitian_checks_fail_alike_without_a_warning(h):
+    want = _error(require_hermitian, h)
+    assert want is not None and want[0] in (ValueError, NonHermitianError)
+    assert _error(hermitian_eig, h) == want
+    assert _error(evolve, h, [1.0, 0.0], 0.3) == want
+    block = np.kron(np.eye(2), h)  # the same entries through the dim >= 3 route
+    assert _error(hermitian_eig, block) == want
+    assert _error(evolve, block, [1.0, 0.0, 0.0, 0.0], 0.3) == want
+
+
+def test_bracket_keeps_an_exact_zero_on_its_scan_grid():
+    # linspace(-1, 1, 5) holds 0.0 exactly, where f is exactly 0 without a sign change
+    # between its neighbours' bracket
+    assert bracket_roots(lambda x: x * x * x, -1.0, 1.0, 5) == [0.0]
+    assert bracket_roots(lambda x: x * x, -1.0, 1.0, 5) == [0.0]

@@ -511,6 +511,13 @@ def test_sweep_spec_takes_float64_bounds_and_checks_types_before_finiteness():
         SweepSpec(x_min=math.inf, steps=2.5)
 
 
+def test_sweep_spec_refuses_a_bound_too_large_for_a_float_by_name():
+    for name in ("x_min", "x_max"):
+        message = f"{name} must be finite, got an integer too large for a float"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SweepSpec(**{name: 10 ** 5000})
+
+
 def test_load_config_empty_object(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
