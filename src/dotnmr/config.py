@@ -62,6 +62,9 @@ class DotConfig:
 
 
 CONFIG_FIELDS = tuple(f.name for f in fields(DotConfig))
+# The staircase takes time and memory linear in m_max (~0.2 s at this cap on a 2-vCPU
+# VM), and no label from |m| = 1022 on couples to the nucleus (its 2^(1 + mu_m) overflows)
+M_MAX_LIMIT = 100_000
 # JSON types and their name in errors, by annotation text (annotations are postponed here)
 _JSON_TYPES = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
                "bool": ((bool,), "a boolean")}
@@ -104,8 +107,8 @@ def validate_config(cfg: DotConfig) -> DotConfig:
         raise ConfigError(f"mstar_ratio must be > 0, got {cfg.mstar_ratio}")
     if cfg.g_factor < 0:
         raise ConfigError(f"g_factor is |g*| and must be >= 0, got {cfg.g_factor}")
-    if cfg.m_max < 5:
-        raise ConfigError(f"m_max must be >= 5, got {cfg.m_max}")
+    if not 5 <= cfg.m_max <= M_MAX_LIMIT:
+        raise ConfigError(f"m_max must be in [5, {M_MAX_LIMIT}], got {cfg.m_max}")
     if not cfg.gamma_n > 0:
         raise ConfigError(f"gamma_n must be > 0, got {cfg.gamma_n}")
     if not cfg.gamma_e > cfg.gamma_n:

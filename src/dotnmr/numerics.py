@@ -222,7 +222,11 @@ def evolve(h, psi, t: float) -> np.ndarray:
         u00, u01, u10, u11 = _spin_half_entries(
             0.5 * (h00.real - h11.real), h10.conjugate(), t
         )
-        phase = cmath.rect(1.0, -math.pi * (h00.real + h11.real) * t)
+        angle = -math.pi * (h00.real + h11.real) * t
+        if not math.isfinite(angle):  # as theta in _spin_half_entries
+            raise ValueError(f"propagator phase overflows: -pi (h00 + h11) t = {angle} "
+                             f"for h00 + h11 = {h00.real + h11.real}, t = {t}")
+        phase = cmath.rect(1.0, angle)
         return np.array([phase * (u00 * p0 + u01 * p1), phase * (u10 * p0 + u11 * p1)])
     values, vectors = _eigh(a)
     ascending = values.tolist()

@@ -17,11 +17,11 @@ S_z = -1 Zeeman branch.  As the field ratio x grows the ground state hops
 through the magic-number sequence (0,0), (1,1), (3,1), (5,1), ...
 
 Every pair of labels crosses at most once, at a closed-form x (Wagner, Merkt
-& Chaplik, PRB 45, 1951 (1992)), so the whole staircase comes from one walk
-along the lower envelope from x = 0, with no scan or root search.  It is
-computed once per (frozen, hashable) DotConfig and cached: the ground state
-at any x is a binary search over its crossings, and the transitions in a
-window are a slice of it.
+& Chaplik, PRB 45, 1951 (1992)), so the whole staircase is the lower envelope
+of straight lines, built in one stack pass over the labels with no scan or
+root search.  It is computed once per (frozen, hashable) DotConfig and
+cached: the ground state at any x is a binary search over its crossings, and
+the transitions in a window are a slice of it.
 
 spin_for_m alone owns the parity rule: every label's S comes from it, and
 hyperfine.coupling_a takes no S but works it out from |m|.
@@ -82,52 +82,76 @@ class TransitionPoint(NamedTuple):
     to_state: tuple[int, int]
 
 
-# An entry holds under 1 KB (two short arrays and its DotConfig key), so 256
-# of them stay far below the process's ~40 MB; a scan over up to 256 devices
-# in one process walks each envelope once.  A miss costs one walk, about as
-# much as an energy argmin over all m_max + 1 labels at a single x.
+# An entry holds two arrays of at most m_max + 1 entries, a float and its
+# DotConfig key: under 1 KB at the default m_max, so 256 of them stay far below
+# the process's ~40 MB, and a scan over up to 256 devices in one process builds
+# each staircase once.  A miss costs one pass over m_max + 2 labels: tens of
+# microseconds at the default m_max, less than an energy argmin over its 16
+# labels at a single x, and a few milliseconds at m_max = 3,000.
 @functools.lru_cache(maxsize=256)
-def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ground-state staircase of cfg: (crossings, labels), read-only arrays.
+def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ground-state staircase of cfg: (crossings, labels, x_trust), arrays read-only.
 
     labels[i] is the ground-state |m| from crossings[i - 1] to crossings[i]; the
-    first holds from x = 0, where (0, 0) always wins, the last up to inf.  A
-    label b above the current a crosses it at most once, at the root of
-    sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + g m*/m_e dS), and never when k <= 1:
+    first holds from x = 0, the last up to inf.  Divided by sqrt(x^2+4)/2, the
+    energy of label m is the line 1 + mu_m - t (|m| + z S) in t = x / sqrt(x^2+4)
+    in [0, 1), z = g m*/m_e, so the staircase is the lower envelope of these
+    lines, and a label b above a crosses a at most once, at the root of
+    sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + z dS), and never when k <= 1:
 
-        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a).
+        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + z dS) / (mu_b - mu_a).
 
-    Smaller |m| never return, so the next crossing is the smallest x* ahead: one
-    behind x can only be a crossing of three or more labels at x, seen through
-    rounding, and it moves the walk on at x without a window.
+    The slopes rise with |m|, so one pass in |m| order builds the envelope on a
+    stack (A. M. Andrew, Inf. Process. Lett. 9, 216 (1979)) of labels and the x
+    where each one's window starts.  A new label pops every top whose window
+    starts at or after its crossing with that top, then starts at its crossing
+    with the label left below: a crossing of three labels at one x leaves no
+    window, and a label pushed at inf (one that never undercuts the top) is
+    popped by the next.  Label 0 can go only where x* = 0.
+
+    Labels above m_max are not searched, so the pass runs on to m_max + 2, and
+    the staircase is the stack just before label m_max + 1, without a top that
+    starts at inf.  x_trust is where the first label above m_max starts after
+    the pass: 0.0 if it replaced label 0, inf if none enters.  Up to x_trust,
+    with ties going to the smaller |m|, the staircase is the ground state over
+    every |m|, because two labels beyond m_max suffice.  At any t >= 0,
+    c_m = mu_m - t|m| is convex in |m|, as mu_m = sqrt(m^2 + alpha_tilde) is,
+    and the energy is c_m for even |m| and c_m - tz for odd |m|, with tz >= 0.
+    Suppose some n > m_max + 2 lies strictly below E_q, the lowest energy over
+    q <= m_max, at some t.  Bounding c at n - 2 by its chord between q and n
+    puts label n - 2 strictly below E_q too, unless n is even and q odd; then
+    the chord at n - 1 does it for label n - 1, whose -tz outweighs the
+    1/(n - q) share of q's.  Descending, m_max + 1 or m_max + 2 lies strictly
+    below E_q at that t, so the first x where a label above m_max becomes the
+    ground state is one where one of those two does.  The rounded mu_m stay
+    convex up to alpha_tilde ~ 1e16; beyond, where x_trust is below 1e-6, it
+    can come out up to ~10 times too late.
     """
     zeeman_slope = cfg.g_factor * cfg.mstar_ratio
     require_non_negative("g_factor * mstar_ratio", zeeman_slope)
-    mu = mu_m(np.arange(cfg.m_max + 1), cfg.alpha_tilde).tolist()
-    spin = [spin_for_m(m) for m in range(cfg.m_max + 1)]
-    x, a, crossings, labels = 0.0, 0, [], [0]
-    while a < cfg.m_max:
-        next_x, next_b = math.inf, None
-        for b in range(a + 1, cfg.m_max + 1):
-            d_slope, d_mu = b - a + zeeman_slope * (spin[b] - spin[a]), mu[b] - mu[a]
-            # mu_b == mu_a once alpha_tilde swamps m^2 (~4.5e15): b then undercuts a at
-            # every x > 0 (k = +inf, x* = 0) if its slope is steeper, and never if not
-            k = d_slope / d_mu if d_mu else (math.inf if d_slope > 0 else -math.inf)
-            # strict < keeps the smaller |m| on a tie
-            if k > 1.0 and (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
-                next_x, next_b = x_b, b
-        if next_b is None:
-            break
-        if next_x > x:
-            crossings.append(next_x)
-            labels.append(next_b)
-        else:  # a's window has zero width
-            labels[-1] = next_b
-        x, a = max(x, next_x), next_b
-    staircase = np.array(crossings, dtype=float), np.array(labels, dtype=np.intp)
+    mu = mu_m(np.arange(cfg.m_max + 3), cfg.alpha_tilde).tolist()
+
+    def crossing(a: int, b: int) -> float:
+        d_slope, d_mu = b - a + zeeman_slope * (spin_for_m(b) - spin_for_m(a)), mu[b] - mu[a]
+        # mu_b == mu_a once alpha_tilde swamps m^2 (~4.5e15): b then undercuts a at
+        # every x > 0 (k = +inf, x* = 0) if its slope is steeper, and never if not
+        k = d_slope / d_mu if d_mu else (math.inf if d_slope > 0 else -math.inf)
+        return 2.0 / math.sqrt(k * k - 1.0) if k > 1.0 else math.inf
+
+    labels, starts = [0], [0.0]
+    for b in range(1, cfg.m_max + 3):
+        if b == cfg.m_max + 1:
+            n = len(labels) - (starts[-1] == math.inf)
+            staircase = np.array(starts[1:n], dtype=float), np.array(labels[:n], dtype=np.intp)
+        # >=: a top whose window would have zero width goes too
+        while labels and starts[-1] >= (x_b := crossing(labels[-1], b)):
+            labels.pop()
+            starts.pop()
+        labels.append(b)
+        starts.append(x_b)  # 0.0 if the stack emptied, since label 0 starts there
     for array in staircase:
         array.flags.writeable = False
-    return staircase
+    return (*staircase, next((x for m, x in zip(labels, starts) if m > cfg.m_max), math.inf))
 
 
 def ground_m_abs(cfg: DotConfig, x):
@@ -143,22 +167,23 @@ def ground_m_abs(cfg: DotConfig, x):
     if not math.isfinite(top * top):  # x >= 0, so the largest x overflows first
         bad = next(v for v in np.ravel(x).tolist() if not math.isfinite(v * v))
         raise FloatingPointError(f"ground-state energy is not finite at x = {bad}")
-    crossings, labels = _staircase(cfg)
+    crossings, labels, _ = _staircase(cfg)
     return labels[np.searchsorted(crossings, x, side="left")]
 
 
 def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
     """Ground-state label at one ratio x (see ground_m_abs).
 
-    When the label is m_max itself the true ground state may lie outside the
-    searched window, so the result carries a boundary flag and a warning is
-    issued on every such call.
+    Above the staircase's x_trust a label beyond m_max is the true ground state,
+    so there the result carries a boundary flag and a warning is issued on every
+    such call.
     """
     best_m = int(ground_m_abs(cfg, x))
-    at_boundary = best_m == cfg.m_max
+    x_trust = _staircase(cfg)[2]
+    at_boundary = x > x_trust
     if at_boundary:
         warnings.warn(
-            f"ground-state search hit m_max={cfg.m_max} at x={x}; "
+            f"ground state at x={x} lies above m_max={cfg.m_max} from x={x_trust} on; "
             "increase m_max to trust this result",
             stacklevel=2,
         )
@@ -168,21 +193,20 @@ def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
 def magic_transitions(cfg: DotConfig, x_lo: float, x_hi: float) -> list[TransitionPoint]:
     """Every ground-state change in (x_lo, x_hi): the slice of the cached staircase.
 
-    Warns, once per call, when the ground state in the window reaches m_max.
+    Warns, once per call, when the window reaches past the staircase's x_trust.
     """
     if not 0 <= x_lo < x_hi:
         raise ValueError(f"need 0 <= x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    crossings, labels = _staircase(cfg)
+    crossings, labels, x_trust = _staircase(cfg)
     first, last = np.searchsorted(crossings, x_lo, "right"), np.searchsorted(crossings, x_hi)
     m = labels[first : last + 1].tolist()
     points = [
         TransitionPoint(x_star, (m_a, spin_for_m(m_a)), (m_b, spin_for_m(m_b)))
         for x_star, m_a, m_b in zip(crossings[first:last].tolist(), m, m[1:])
     ]
-    if labels[last] == cfg.m_max:
+    if x_hi > x_trust:
         warnings.warn(
-            f"ground-state walk reached m_max={cfg.m_max} at "
-            f"x={points[-1].x_star if points else x_lo}; "
+            f"ground state lies above m_max={cfg.m_max} from x={x_trust} on; "
             "increase m_max to trust the boundaries above it",
             stacklevel=2,
         )

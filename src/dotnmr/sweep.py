@@ -90,7 +90,7 @@ def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
 
     steps must be an int or a numpy integer (not a bool).  Raises
     FloatingPointError naming the first x whose row is not finite, and warns
-    once when the ground state reaches m_max inside the window.
+    once when the window reaches past the x where a label above m_max takes over.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
@@ -107,6 +107,6 @@ def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
     if not all(np.isfinite(column).all() for column in sweep):
         finite = np.all([np.isfinite(column) for column in sweep], axis=0)
         raise FloatingPointError(f"sweep row is not finite at x = {x[np.argmin(finite)]}")
-    # labels only rise with x, so the last point alone decides the m_max warning
+    # the grid's largest x alone decides the m_max warning
     ground_state_at(cfg, x_max)
     return sweep

@@ -8,6 +8,7 @@ import pytest
 
 from dotnmr import ConfigError, cli, magic_transitions
 from dotnmr.cli import main
+from dotnmr.spectrum import _staircase
 
 
 def sha256_of(path) -> str:
@@ -152,6 +153,31 @@ def test_an_int_too_large_for_a_float_exits_1_before_printing(
     assert out == ""
     assert err.startswith(f"config error: {key}")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["transitions"], ["nmr", "--x", "1"], ["sweep"]])
+def test_a_huge_m_max_exits_1_before_building_anything(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text('{"m_max": 1000000000000}')
+    misses = _staircase.cache_info().misses
+    assert main([*command, "--config", "big.json"]) == 1
+    assert _staircase.cache_info().misses == misses
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: m_max must be in [5, 100000], got 1000000000000\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_warns_where_a_label_above_an_even_m_max_takes_over(tmp_path, monkeypatch, capsys):
+    # no even label above 0 wins for the default device, so the labels stop at 15 while
+    # label 17 takes over at x = 18.44
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text('{"m_max": 16, "sweep": {"x_max": 30.0, "steps": 50}}')
+    with pytest.warns(UserWarning, match=r"m_max=16 from x=18\.43") as record:
+        assert main(["sweep", "--config", "c.json"]) == 0
+    assert len(record) == 1
+    with (tmp_path / "sweep.csv").open() as fh:
+        assert list(csv.DictReader(fh))[-1]["m_abs"] == "15"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from dotnmr import (
 )
 from dotnmr.config import (
     CONFIG_FIELDS,
+    M_MAX_LIMIT,
     MU_B_MHZ_PER_T,
     require_finite_field,
     require_finite_non_negative,
@@ -107,6 +108,15 @@ def test_an_int_too_large_for_a_float_is_refused_by_name(name, digits):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         validate_config(DotConfig(**{name: big}))
     require_finite_field(name, int(np.finfo(float).max))  # the largest int that converts
+
+
+def test_m_max_is_capped_by_name():
+    for m_max in (5, 3000, M_MAX_LIMIT):
+        validate_config(DotConfig(m_max=m_max))
+    for m_max in (4, M_MAX_LIMIT + 1, 10**12):
+        message = rf"^m_max must be in \[5, {M_MAX_LIMIT}\], got {m_max}$"
+        with pytest.raises(ConfigError, match=message):
+            validate_config(DotConfig(m_max=m_max))
 
 
 def test_weak_gamma_hierarchy_warns():

@@ -543,6 +543,16 @@ def test_evolve_raises_on_an_overflowing_phase_at_every_dim(n, sign):
     assert evolve(h, psi, 0.0).tolist() == psi.tolist()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_evolve_names_an_overflowing_trace_phase(n):
+    # h00 + h11 overflows while the 2x2's traceless part is 0; the dim-3 route
+    # meets the same H as its largest eigenvalue
+    psi = np.eye(n)[0]
+    kind, message = _error(evolve, np.diag([1e308] * n), psi, 1.0)
+    assert kind is ValueError
+    assert message.startswith("propagator phase overflows: ")
+
+
 # 2x2s whose 2 max|H|, max|H| or H - H^dag overflows: the scalar and the array
 # Hermitian checks must report each alike, and a dim-4 block of it too
 _OVERFLOWING_2X2 = [

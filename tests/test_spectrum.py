@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -14,7 +16,8 @@ from dotnmr import (
     mu_m,
     validate_config,
 )
-from dotnmr.spectrum import _staircase, ground_m_abs
+from dotnmr.config import require_non_negative
+from dotnmr.spectrum import _staircase, ground_m_abs, spin_for_m
 
 
 def boundary_singlet_triplet(zeeman_slope: float, alpha_tilde: float = 3.0) -> float:
@@ -63,6 +66,54 @@ def argmin_ground_m(cfg, x):
         [total_ground_energy(m, m % 2, cfg, x) for m in range(cfg.m_max + 1)]
     )
     return np.argmin(energies, axis=0)
+
+
+@functools.lru_cache(maxsize=256)
+def walk_staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ground-state staircase of cfg: (crossings, labels), read-only arrays.
+
+    The reference for _staircase's stack pass: a walk along the lower envelope
+    from x = 0, at each label taking the smallest crossing ahead over every
+    larger |m| (quadratic in m_max).
+
+    labels[i] is the ground-state |m| from crossings[i - 1] to crossings[i]; the
+    first holds from x = 0, where (0, 0) always wins, the last up to inf.  A
+    label b above the current a crosses it at most once, at the root of
+    sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + g m*/m_e dS), and never when k <= 1:
+
+        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a).
+
+    Smaller |m| never return, so the next crossing is the smallest x* ahead: one
+    behind x can only be a crossing of three or more labels at x, seen through
+    rounding, and it moves the walk on at x without a window.
+    """
+    zeeman_slope = cfg.g_factor * cfg.mstar_ratio
+    require_non_negative("g_factor * mstar_ratio", zeeman_slope)
+    mu = mu_m(np.arange(cfg.m_max + 1), cfg.alpha_tilde).tolist()
+    spin = [spin_for_m(m) for m in range(cfg.m_max + 1)]
+    x, a, crossings, labels = 0.0, 0, [], [0]
+    while a < cfg.m_max:
+        next_x, next_b = math.inf, None
+        for b in range(a + 1, cfg.m_max + 1):
+            d_slope, d_mu = b - a + zeeman_slope * (spin[b] - spin[a]), mu[b] - mu[a]
+            # mu_b == mu_a once alpha_tilde swamps m^2 (~4.5e15): b then undercuts a at
+            # every x > 0 (k = +inf, x* = 0) if its slope is steeper, and never if not
+            k = d_slope / d_mu if d_mu else (math.inf if d_slope > 0 else -math.inf)
+            # strict < keeps the smaller |m| on a tie
+            if k > 1.0 and (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
+                next_x, next_b = x_b, b
+        if next_b is None:
+            break
+        if next_x > x:
+            crossings.append(next_x)
+            labels.append(next_b)
+        else:  # a's window has zero width
+            labels[-1] = next_b
+        x, a = max(x, next_x), next_b
+    staircase = np.array(crossings, dtype=float), np.array(labels, dtype=np.intp)
+    for array in staircase:
+        array.flags.writeable = False
+    return staircase
 
 
 def test_mu_m_values():
@@ -289,8 +340,13 @@ def test_envelope_walk_matches_ground_state_scan(g, mstar, alpha, m_max, x_lo, s
 
 
 def test_magic_transitions_warns_once_at_m_max():
-    with pytest.warns(UserWarning, match="m_max") as record:
-        points = magic_transitions(DotConfig(m_max=5), 0.05, 5.0)
+    # with m_max 5, label 7 takes over from 5 at x_trust = 6.84
+    cfg = DotConfig(m_max=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert magic_transitions(cfg, 0.05, 5.0)[-1].to_state == (5, 1)
+    with pytest.warns(UserWarning, match=r"m_max=5 from x=6\.83") as record:
+        points = magic_transitions(cfg, 0.05, 8.0)
     assert points[-1].to_state == (5, 1)
     assert len([w for w in record if "m_max" in str(w.message)]) == 1
 
@@ -307,7 +363,7 @@ def test_magic_transitions_warns_once_at_m_max():
 @example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10, xs=[2.5, 3.0])
 def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
-    crossings, _ = _staircase(cfg)
+    crossings, _, _ = _staircase(cfg)
     # the rounded energies may order either way within a few ulps of a crossing
     xs = [x for x in [0.0, *xs] if np.all(np.abs(crossings - x) > 1e-9 * x)]
     want = argmin_ground_m(cfg, np.array(xs))
@@ -317,7 +373,7 @@ def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
 
 def test_staircase_passes_a_triple_crossing_without_a_window():
     cfg = DotConfig(g_factor=TRIPLE_G, mstar_ratio=0.19, alpha_tilde=3.0, m_max=10)
-    crossings, labels = _staircase(cfg)
+    crossings, labels, _ = _staircase(cfg)
     assert labels.tolist() == [0, 1, 3, 5, 7, 9]
     assert np.all(np.diff(crossings) > 0)
     xs = np.array([2.0, 2.5, 3.0, 4.0])
@@ -338,7 +394,7 @@ def test_staircase_is_cached_per_config():
     a, b = DotConfig(alpha_tilde=2.5), DotConfig(alpha_tilde=2.5)
     assert a is not b
     assert _staircase(a) is _staircase(b)
-    crossings, labels = _staircase(a)
+    crossings, labels, _ = _staircase(a)
     assert not crossings.flags.writeable and not labels.flags.writeable
     other = _staircase(DotConfig(alpha_tilde=2.6))
     assert other is not _staircase(a)
@@ -380,9 +436,94 @@ def test_equal_mu_labels_cross_at_zero_or_never(g, m_max, ground):
     # b undercuts a at every x > 0 when that slope is positive, and never when it is not
     # (g m* = 1.9 keeps an odd |m| below the even |m| + 1 above it)
     cfg = DotConfig(alpha_tilde=1e40, g_factor=g, mstar_ratio=0.19, m_max=m_max)
-    crossings, labels = _staircase(cfg)
+    crossings, labels, _ = _staircase(cfg)
     assert crossings.tolist() == [] and labels.tolist() == [ground]
     assert ground_m_abs(cfg, np.array([1e-300, 1.0, 5.0])).tolist() == [ground] * 3
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the first walk ends at m_max
+        warnings.simplefilter("ignore")  # a label above m_max takes over at x = 0
         assert magic_transitions(cfg, 1e-6, 5.0) == []
+
+
+# alpha_tilde from 0 through the ~1e16 where neighbouring mu_m round equal or an ulp
+# apart, up to 1e40, where every mu_m rounds to 1e20
+ALPHA_TILDES = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e15, 1e17),
+                         st.floats(0.0, 1e40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.floats(0.0, 30.0), mstar=st.floats(0.01, 1.0), alpha=ALPHA_TILDES,
+       m_max=st.integers(5, 60))
+@example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10)
+@example(g=2.0, mstar=0.19, alpha=1e40, m_max=15)
+@example(g=10.0, mstar=0.19, alpha=1e40, m_max=16)
+# mu_1 rounds to mu_0 here, so label 1 replaces label 0 at x = 0
+@example(g=1.8722154568906961, mstar=0.18893532221650913, alpha=7184623333950467.0, m_max=19)
+def test_stack_pass_equals_the_walk_bitwise(g, mstar, alpha, m_max):
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    crossings, labels, _ = _staircase(cfg)
+    want_crossings, want_labels = walk_staircase(cfg)
+    assert crossings.dtype == want_crossings.dtype and labels.dtype == want_labels.dtype
+    assert crossings.tobytes() == want_crossings.tobytes()
+    assert labels.tobytes() == want_labels.tobytes()
+
+
+def walk_x_trust(cfg, labels_beyond: int) -> float:
+    """Where the walk over m_max + labels_beyond labels first leaves |m| <= m_max (inf if never)."""
+    crossings, labels = walk_staircase(
+        DotConfig(**{**vars(cfg), "m_max": cfg.m_max + labels_beyond}))
+    above = np.flatnonzero(labels > cfg.m_max)
+    if not len(above):
+        return math.inf
+    return float(crossings[above[0] - 1]) if above[0] else 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=st.floats(0.0, 30.0), mstar=st.floats(0.01, 1.0),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e15)),
+       m_max=st.integers(5, 60))
+@example(g=2.0, mstar=0.19, alpha=3.0, m_max=15)
+@example(g=2.0, mstar=0.19, alpha=1e40, m_max=15)
+@example(g=10.0, mstar=0.19, alpha=1e40, m_max=16)
+def test_two_labels_beyond_m_max_give_x_trust(g, mstar, alpha, m_max):
+    # _staircase's convexity argument holds for the rounded mu_m while its ulp stays
+    # below its second difference in |m|; from alpha_tilde ~ 1e16 on it may not, and
+    # x_trust (then below 1e-6) can come out later than the first takeover
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    assert _staircase(cfg)[2] == walk_x_trust(cfg, 2) == walk_x_trust(cfg, 300)
+
+
+@pytest.mark.parametrize("m_max", [15, 16])
+def test_default_device_is_trusted_up_to_18_44(m_max):
+    # label 17 takes over from 15 there; no even label above 0 ever wins
+    cfg = DotConfig(m_max=m_max)
+    crossings, labels, x_trust = _staircase(cfg)
+    assert labels[-1] == 15 and round(x_trust, 2) == 18.44
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not ground_state_at(cfg, 17.0).at_search_boundary
+        # a tie at x_trust itself goes to the smaller |m|, which the staircase holds
+        assert ground_state_at(cfg, x_trust) == (x_trust, 15, 1, False)
+        magic_transitions(cfg, 0.05, x_trust)
+    above = math.nextafter(x_trust, math.inf)
+    with pytest.warns(UserWarning, match=f"m_max={m_max} from x={x_trust!r} on"):
+        assert ground_state_at(cfg, above).at_search_boundary
+    with pytest.warns(UserWarning, match=f"m_max={m_max} from x={x_trust!r} on"):
+        magic_transitions(cfg, 0.05, above)
+
+
+def test_an_m_max_whose_parity_never_wins_still_warns():
+    with pytest.warns(UserWarning, match="m_max=16"):
+        ground = ground_state_at(DotConfig(m_max=16), 30.0)
+    assert ground.m_abs == 15 and ground.at_search_boundary
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert ground_state_at(DotConfig(m_max=40), 30.0).m_abs == 25
+
+
+def test_a_3000_label_staircase_builds_in_milliseconds():
+    # linear in m_max, ~3 ms; walk_staircase, quadratic, takes ~0.6 s (both on a 2-vCPU VM)
+    cfg = DotConfig(m_max=3000)
+    _staircase.cache_clear()
+    start = time.perf_counter()
+    magic_transitions(cfg, 0.05, 5.0)
+    assert time.perf_counter() - start < 0.1
