@@ -29,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, validate_config
+from .config import DotConfig, b_field_from_ratio, validate_config
 from .errors import ConfigError, DotnmrError
 from .gates import TwoQubitModel, cnot_conditional, hadamard
-from .hyperfine import coupling_a, delta_cm, delta_m
+from .hyperfine import delta_cm, delta_m
 from .output import (
     SweepSpec,
     build_manifest,
@@ -42,7 +42,7 @@ from .output import (
     write_manifest,
 )
 from .spectrum import ground_state_at, magic_transitions, mu_m
-from .spin_hamiltonian import nmr_numeric
+from .spin_hamiltonian import _resonance_chain, nmr_numeric
 from .sweep import run_sweep
 
 
@@ -176,25 +176,28 @@ def _cmd_transitions(args) -> int:
 def _cmd_nmr(args) -> int:
     """Print the resonance at --x; everything is computed first, so a failure prints nothing.
 
-    Raises FloatingPointError naming x when a value to print is not finite, as run_sweep does.
+    B, f0, A and the closed-form f_nmr come from the closed-form chain (see
+    spin_hamiltonian._resonance_chain); a triplet's f_nmr, mixing and shift come from the
+    numeric 6x6, with the closed form beside it.  Raises FloatingPointError naming x when a
+    value to print or the chain's shift is not finite, as run_sweep does; that shift is not
+    finite wherever f0 has underflowed to 0.
     """
     cfg, _ = _load(args)
     x = _flag(args, "--x", positive=True)  # the bare Larmor f0 vanishes at x = 0
     ground = ground_state_at(cfg, x)
-    b = b_field_from_ratio(cfg, x)
-    f0 = nuclear_larmor_mhz(cfg, b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, naming x
+        _, *chain = _resonance_chain(cfg, x, ground.m_abs, (args.ir,))
+    b, f0, a, f_closed, shift = (value.item() for value in chain)
     mu = mu_m(ground.m_abs, cfg.alpha_tilde)
     lines = [f"x = {x:g}   B = {b:.6f} T   ground state (|m|,S) = {ground.label}",
              f"mu_m = {mu:.9g}"]
-    values = [b, f0, mu]
+    values = [b, f0, mu, shift]
     if ground.s_total == 0:
         lines.append(f"singlet window: nucleus uncoupled, f_nmr = f0 = {f0:.9g} MHz, shift = 0")
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
-            a = coupling_a(cfg, x, ground.m_abs, ir_excited=args.ir)
             density = delta_cm(cfg, x, ground.m_abs) if args.ir else delta_m(cfg, x, ground.m_abs)
             result = nmr_numeric(a, b, cfg)
-        # f0 > 0 unless x * hbar_omega0 underflowed, which leaves no shift to report
         shift = (result.f_nmr - result.f0) / result.f0 if result.f0 else math.nan
         values += [a, density, *result, shift]
         lines += [
@@ -202,7 +205,7 @@ def _cmd_nmr(args) -> int:
             f"delta*l0^2 = {density:.9g}   A = {a:.9g} MHz",
             f"f0 = {result.f0:.9g} MHz",
             f"f_nmr (numeric) = {result.f_nmr:.9g} MHz",
-            f"f_nmr (closed)  = {result.f_closed:.9g} MHz",
+            f"f_nmr (closed)  = {f_closed:.9g} MHz",
             f"mixing: c1 = {result.c1:.9g}, c2 = {result.c2:.9g}",
             f"relative shift = {shift:.9g}",
         ]

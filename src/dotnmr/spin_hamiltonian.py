@@ -40,7 +40,7 @@ from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_f
 from .errors import DegenerateSelectionError
 from .hyperfine import coupling_a
 from .numerics import hermitian_eig
-from .spectrum import ground_state_at
+from .spectrum import ground_state_at, spin_for_m
 
 OVERLAP_DEGENERACY_TOL = 1e-12
 
@@ -187,20 +187,45 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
 
 
 def relative_shift(cfg: DotConfig, x: float, ir_excited: bool = False) -> float:
-    """Relative resonance shift (f - f0)/f0 at ratio x; exactly 0 for singlets.
+    """Closed-form relative shift (f - f0)/f0 at ratio x; exactly 0 for singlets where f0 > 0.
 
-    Raises FloatingPointError naming x when the shift is not finite, as run_sweep does.
+    Raises FloatingPointError naming x, as run_sweep does, when the shift is not finite,
+    as it is wherever f0 = gamma_n B has underflowed to 0.  Its absolute error reaches
+    ~6.7e-13 (see _resonance_chain), so a shift of 1e-6 has about 6 true digits.
     """
     if not x > 0:
         raise ValueError(f"x must be > 0 (f0 vanishes at B=0), got {x}")
-    ground = ground_state_at(cfg, x)
-    if ground.s_total == 0:
-        return 0.0
-    b = b_field_from_ratio(cfg, x)
-    f0 = nuclear_larmor_mhz(cfg, b)
+    m_abs = ground_state_at(cfg, x).m_abs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
-        a = coupling_a(cfg, x, ground.m_abs, ir_excited=ir_excited)
-        shift = (nmr_closed_form(a, b, cfg) - f0) / f0
+        shift = _resonance_chain(cfg, x, m_abs, (ir_excited,))[-1].item()
     if not math.isfinite(shift):
         raise FloatingPointError(f"relative shift is not finite at x = {x}")
     return shift
+
+
+def _resonance_chain(cfg: DotConfig, x, m_abs, ir_modes):
+    """The triplet rows, B, f0 and, one row per IR mode in ir_modes, A, f and (f - f0)/f0.
+
+    x and the ground |m| are a float and an int or 1-D arrays of one length, taken as
+    rows.  f0 = gamma_n B, A is coupling_a's (0 for a singlet), and f is nmr_closed_form's
+    for a triplet and f0 itself for a singlet, so a singlet's shift is exactly +0.0 where
+    f0 > 0 and NaN where f0 has underflowed to 0.  The caller runs this under np.errstate
+    and reports a shift that is not finite, naming x.  The triplet rows are gathered once
+    for every mode.
+
+    f sums terms of size gamma_e B / 2, so the shift's absolute error reaches about
+    1.15 eps gamma_e/gamma_n (~6.7e-13 for the default nuclei) whatever its size: a shift
+    of 1e-6 has about 6 true digits of the 9 printed.  The form without cancellation,
+    f - f0 = 2A + 4A^2/(sqrt(s^2 + 8A^2) + s) with s = A + (gamma_n + gamma_e) B, would
+    move digits of the 100k-row golden sweep, so the tests hold it as a reference only.
+    """
+    x, m_abs = np.asarray(x, dtype=float).reshape(-1), np.asarray(m_abs).reshape(-1)
+    b = b_field_from_ratio(cfg, x)
+    f0 = nuclear_larmor_mhz(cfg, b)
+    triplet = np.flatnonzero(spin_for_m(m_abs))
+    xs, ms, bs = x[triplet], m_abs[triplet], b[triplet]
+    a, f = np.zeros((len(ir_modes), len(x))), np.tile(f0, (len(ir_modes), 1))
+    for k, ir in enumerate(ir_modes):
+        a[k, triplet] = a_t = coupling_a(cfg, xs, ms, ir_excited=ir)
+        f[k, triplet] = nmr_closed_form(a_t, bs, cfg)
+    return triplet, b, f0, a, f, (f - f0) / f0

@@ -2,9 +2,10 @@
 
 The orbital ground state, the contact coupling (with and without infrared
 excitation of the center of mass) and the resulting nuclear resonance are
-evaluated column-wise, over all triplet rows at once.  In singlet windows
-the nucleus is decoupled: the coupling and shift columns are exactly 0 and
-both resonance columns equal the bare Larmor frequency.
+evaluated column-wise, the coupling and resonance over all triplet rows at
+once.  In singlet windows the nucleus is decoupled: the density and coupling
+columns are exactly 0, both resonance columns equal the bare Larmor
+frequency, and the shift columns are exactly 0 where f0 > 0.
 
 SweepSpec checks its fields' types and its bounds' finiteness when built;
 run_sweep checks the grid's ranges and its own steps, which may be a numpy
@@ -18,12 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_field_types,
-                     require_finite_field)
+from .config import DotConfig, require_field_types, require_finite_field
 from .errors import ConfigError
-from .hyperfine import coupling_a, delta_cm, delta_m
+from .hyperfine import delta_cm, delta_m
 from .spectrum import ground_m_abs, ground_state_at, mu_m, spin_for_m
-from .spin_hamiltonian import nmr_closed_form
+from .spin_hamiltonian import _resonance_chain
 
 
 class Sweep(NamedTuple):
@@ -64,25 +64,23 @@ class SweepSpec:
 
 
 def sweep_row(cfg: DotConfig, x) -> Sweep:
-    """Sweep columns at the ratios x > 0 (a 1-D array, or a float for one row)."""
+    """Sweep columns at the ratios x > 0 (a 1-D array, or a float for one row).
+
+    B, f0, A, f and the shifts come from the closed-form chain that relative_shift reads
+    too (spin_hamiltonian._resonance_chain): a shift needs f0 > 0, is NaN where f0 has
+    underflowed (run_sweep then fails naming x), and carries an absolute error of up to
+    ~6.7e-13.
+    """
     x = np.array(x, dtype=float, ndmin=1)
     m_abs = ground_m_abs(cfg, x)
-    s_total = spin_for_m(m_abs)
-    b = b_field_from_ratio(cfg, x)
-    f0 = nuclear_larmor_mhz(cfg, b)
-    density, density_cm, a, a_cm = np.zeros((4, len(x)))
-    f_nmr, f_nmr_ir = f0.copy(), f0.copy()
-    triplet = np.flatnonzero(s_total)
-    xs, ms, bs = x[triplet], m_abs[triplet], b[triplet]
+    triplet, b, f0, (a, a_cm), (f, f_ir), (shift, shift_ir) = _resonance_chain(
+        cfg, x, m_abs, (False, True))
+    density, density_cm = np.zeros((2, len(x)))  # 0 in a singlet, as the couplings are
+    xs, ms = x[triplet], m_abs[triplet]
     density[triplet] = delta_m(cfg, xs, ms)
     density_cm[triplet] = delta_cm(cfg, xs, ms)
-    a[triplet] = a_t = coupling_a(cfg, xs, ms)
-    a_cm[triplet] = a_cm_t = coupling_a(cfg, xs, ms, ir_excited=True)
-    f_nmr[triplet] = nmr_closed_form(a_t, bs, cfg)
-    f_nmr_ir[triplet] = nmr_closed_form(a_cm_t, bs, cfg)
-    # singlet rows keep f_nmr == f0 exactly, so their shifts are exactly 0
-    return Sweep(x, b, m_abs, s_total, mu_m(m_abs, cfg.alpha_tilde), density, density_cm, a,
-                 a_cm, f0, f_nmr, f_nmr_ir, (f_nmr - f0) / f0, (f_nmr_ir - f0) / f0)
+    return Sweep(x, b, m_abs, spin_for_m(m_abs), mu_m(m_abs, cfg.alpha_tilde), density,
+                 density_cm, a, a_cm, f0, f, f_ir, shift, shift_ir)
 
 
 def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
@@ -102,7 +100,7 @@ def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
         raise ConfigError(f"need x_min < x_max, got [{x_min}, {x_max}]")
     x = x_min + np.arange(steps) * ((x_max - x_min) / (steps - 1))
     x[-1] = x_max
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, naming x
         sweep = sweep_row(cfg, x)
     if not all(np.isfinite(column).all() for column in sweep):
         finite = np.all([np.isfinite(column) for column in sweep], axis=0)

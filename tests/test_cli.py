@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from dotnmr import ConfigError, cli, magic_transitions
+from dotnmr import (ConfigError, b_field_from_ratio, cli, load_config, magic_transitions,
+                    nuclear_larmor_mhz, relative_shift, run_sweep)
 from dotnmr.cli import main
 from dotnmr.spectrum import _staircase
 
@@ -203,6 +204,25 @@ def test_nmr_exits_2_naming_x_before_printing_a_non_finite_resonance(tmp_path, c
     (tmp_path / "c.json").write_text(text)
     assert main(["nmr", "--x", "1.0", "--config", str(tmp_path / "c.json")]) == 2
     assert capsys.readouterr() == ("", "numerical failure: nmr result is not finite at x = 1.0\n")
+
+
+@pytest.mark.parametrize("config, x", [("{}", 5e-324), ('{"hbar_omega0": 5e-324}', 0.5)])
+def test_entry_points_agree_where_f0_underflows(tmp_path, capsys, config, x):
+    # B and f0 = gamma_n B round to 0 for the default device at x = 5e-324, in the singlet
+    # window (x = 1e-323 already gives f0 = 4.74e-322), and at hbar_omega0 = 5e-324 from x = 0.5
+    # on, in the triplet (1, 1), whose f then divides by 0.  No shift is left, so every entry
+    # point fails naming x; pytest turns an escaping RuntimeWarning into an error
+    path = tmp_path / "c.json"
+    path.write_text(config)
+    cfg, _ = load_config(path)
+    assert nuclear_larmor_mhz(cfg, b_field_from_ratio(cfg, x)) == 0.0
+    with pytest.raises(FloatingPointError, match=rf"^sweep row is not finite at x = {x}$"):
+        run_sweep(cfg, x, 1.0, 3)
+    for ir in (False, True):
+        with pytest.raises(FloatingPointError, match=rf"^relative shift is not finite at x = {x}$"):
+            relative_shift(cfg, x, ir_excited=ir)
+        assert main(["nmr", "--x", repr(x), "--config", str(path)] + (["--ir"] if ir else [])) == 2
+        assert capsys.readouterr() == ("", f"numerical failure: nmr result is not finite at x = {x}\n")
 
 
 def test_sweep_guard_message_names_one_value_of_an_array(tmp_path, monkeypatch, capsys):

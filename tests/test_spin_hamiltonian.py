@@ -1,9 +1,12 @@
 import math
 import struct
+import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from dotnmr import (
     nmr_closed_form,
     nmr_numeric,
     relative_shift,
+    run_sweep,
     validate_config,
 )
 from dotnmr.spectrum import magic_transitions
@@ -216,6 +220,82 @@ def test_relative_shift_names_x_where_the_shift_is_not_finite(field, value):
     cfg = validate_config(DotConfig(**{field: value}))
     with pytest.raises(FloatingPointError, match=r"^relative shift is not finite at x = 1\.0$"):
         relative_shift(cfg, 1.0)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def stable_shift(a, b, cfg):
+    """(f - f0)/f0 without cancellation: f - gamma_n B = 2A + 4A^2/(sqrt(s^2 + 8A^2) + s)."""
+    s = a + (cfg.gamma_n + cfg.gamma_e) * b
+    return (2.0 * a + 4.0 * a * a / (math.sqrt(s * s + 8.0 * a * a) + s)) / (cfg.gamma_n * b)
+
+
+def exact_shift(a, b, cfg):
+    """(f - f0)/f0 at 50 digits from the floats A and B, with the exact f0 = gamma_n B."""
+    with mpmath.workdps(50):
+        a, b, gn, ge = map(mpmath.mpf, (a, b, cfg.gamma_n, cfg.gamma_e))
+        f = 1.5 * a + (gn - ge) * b / 2 + mpmath.sqrt((a + (gn + ge) * b) ** 2 + 8 * a * a) / 2
+        return float((f - gn * b) / (gn * b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.01, 1.0),
+    alpha=st.floats(0.0, 1000.0),
+    m_max=st.integers(5, 40),
+    x_lo=st.floats(1e-3, 29.0),
+)
+def test_shift_error_is_bounded_by_the_oracle(g, mstar, alpha, m_max, x_lo):
+    # f sums terms of size gamma_e B / 2, so the shift's absolute error is of order
+    # eps gamma_e/gamma_n whatever its size; the form without cancellation keeps the
+    # relative error at a few eps.  A and B are the sweep's own floats.
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m_max warnings
+        sweep = run_sweep(cfg, x_lo, 30.0, 25)
+    bound = 2.0 * EPS * cfg.gamma_e / cfg.gamma_n
+    for a_column, shift_column in ((sweep.a_mhz, sweep.shift), (sweep.a_cm_mhz, sweep.shift_ir)):
+        for a, b, shift in zip(a_column.tolist(), sweep.b_tesla.tolist(), shift_column.tolist()):
+            exact = exact_shift(a, b, cfg)
+            assert abs(shift - exact) <= bound
+            assert abs(stable_shift(a, b, cfg) - exact) <= 4.0 * EPS * abs(exact)
+
+
+def test_closed_form_is_the_f_z_block_resonance_symbolically(default_cfg):
+    # H = A (I+ S- + I- S+ + 2 Iz Sz) - gamma_n B Iz + gamma_e B Sz from Kronecker
+    # products of the spin-1/2 (nucleus) and spin-1 (electron pair) matrices
+    a, b, gn, ge = sympy.symbols("A B gamma_n gamma_e", positive=True)
+    iz, ip = sympy.diag(sympy.Rational(1, 2), -sympy.Rational(1, 2)), sympy.Matrix([[0, 1], [0, 0]])
+    sz = sympy.diag(1, 0, -1)
+    sp = sympy.Matrix([[0, sympy.sqrt(2), 0], [0, 0, sympy.sqrt(2)], [0, 0, 0]])
+    kron = sympy.kronecker_product
+    h = (a * (kron(ip, sp.T) + kron(ip.T, sp) + 2 * kron(iz, sz))
+         - gn * b * kron(iz, sympy.eye(3)) + ge * b * kron(sympy.eye(2), sz))
+    labels = spin_basis(1)
+    perm = [(0 if lb.i_z > 0 else 1) * 3 + (1 - lb.s_z) for lb in labels]
+    h = h.extract(perm, perm)
+    for i, li in enumerate(labels):
+        for j, lj in enumerate(labels):
+            if li.f_z != lj.f_z:
+                assert h[i, j] == 0
+    block = [i for i, lb in enumerate(labels) if lb.f_z == -0.5]
+    (stretched,) = [i for i, lb in enumerate(labels) if lb.f_z == -1.5]
+    root = sympy.sqrt((a + (gn + ge) * b) ** 2 + 8 * a ** 2)
+    closed = 3 * a / 2 + (gn - ge) * b / 2 + root / 2  # nmr_closed_form's expression
+    gaps = [sympy.simplify(h[stretched, stretched] - e - closed)
+            for e in h.extract(block, block).eigenvals()]
+    # |Psi> is the lower eigenstate of the block, and the other one lies root above it
+    assert [sympy.simplify(gap * (gap + root)) for gap in gaps] == [0, 0]
+    assert gaps.count(0) == 1
+    # and nmr_closed_form evaluates that expression
+    f = sympy.lambdify((a, b, gn, ge), closed, "mpmath")
+    for a_mhz, b_tesla in ((0.0, 1.3), (2.447, 1.846), (37.0, 0.01), (1e-3, 25.0)):
+        with mpmath.workdps(50):
+            want = float(f(a_mhz, b_tesla, default_cfg.gamma_n, default_cfg.gamma_e))
+        got = nmr_closed_form(a_mhz, b_tesla, default_cfg)
+        assert got == pytest.approx(want, rel=4 * EPS * default_cfg.gamma_e / default_cfg.gamma_n)
 
 
 def test_build_matrix_rejects_negative_inputs(default_cfg):

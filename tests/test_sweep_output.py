@@ -33,6 +33,7 @@ from dotnmr import (
     nmr_closed_form,
     nmr_numeric,
     nuclear_larmor_mhz,
+    relative_shift,
     run_sweep,
     sweep_row,
     write_csv,
@@ -122,12 +123,13 @@ def test_sweep_shift_jumps_at_boundaries(default_cfg, default_sweep):
 
 
 def test_row_error_reports_offending_x(default_cfg, monkeypatch):
-    import dotnmr.sweep as sweep_mod
+    import dotnmr.spin_hamiltonian as sh_mod
 
     def nan_resonance(a_mhz, b_tesla, cfg):
         return np.full_like(a_mhz, np.nan)
 
-    monkeypatch.setattr(sweep_mod, "nmr_closed_form", nan_resonance)
+    # the closed-form chain that sweep_row reads calls the resonance through this binding
+    monkeypatch.setattr(sh_mod, "nmr_closed_form", nan_resonance)
     # x = 0.2 is a singlet row (finite); 0.4 is the first triplet row
     with pytest.raises(FloatingPointError, match="x = 0.4$"):
         run_sweep(default_cfg, 0.2, 1.0, 5)
@@ -379,12 +381,16 @@ def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, w
             x_lo, x_hi = lo * last, last * (1.0 + span)
         sweep = run_sweep(cfg, x_lo, x_hi, steps)
         expected = np.array([scalar_sweep_row(cfg, x) for x in sweep.x.tolist()], dtype=float)
+        shifts = np.array([[relative_shift(cfg, x, ir) for ir in (False, True)]
+                           for x in sweep.x.tolist()])
     if window == "singlet":
         assert not sweep.s_total.any()
     elif window == "top":
         assert sweep.m_abs[-1] == (points[-1].to_state[0] if points else 0)
     for name, column, reference in zip(SWEEP_COLUMNS, sweep, expected.T):
         assert column.astype(float).tobytes() == reference.tobytes(), name
+    # the library's point query reads the same chain as the sweep's columns
+    assert np.column_stack([sweep.shift, sweep.shift_ir]).tobytes() == shifts.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
