@@ -162,12 +162,10 @@ def _cmd_transitions(args) -> int:
     if not spec.x_max > spec.x_min:
         raise ConfigError(f"{hi} must exceed {lo}, got {spec.x_max} <= {spec.x_min}")
     points = magic_transitions(cfg, spec.x_min, spec.x_max)
+    b_tesla = [b_field_from_ratio(cfg, tp.x_star) for tp in points]  # before any output
     print("x_star      (|m|,S) -> (|m|,S)    B_tesla")
-    for tp in points:
-        b = b_field_from_ratio(cfg, tp.x_star)
-        print(
-            f"{tp.x_star:.6f}    {tp.from_state} -> {tp.to_state}    {b:.6f}"
-        )
+    for tp, b in zip(points, b_tesla):
+        print(f"{tp.x_star:.6f}    {tp.from_state} -> {tp.to_state}    {b:.6f}")
     if not points:
         print("(no ground-state change in this window)")
     return 0
@@ -180,14 +178,14 @@ def _cmd_nmr(args) -> int:
     spin_hamiltonian._resonance_chain); a triplet's f_nmr, mixing and shift come from the
     numeric 6x6, with the closed form beside it.  Raises FloatingPointError naming x when a
     value to print or the chain's shift is not finite, as run_sweep does; that shift is not
-    finite wherever f0 has underflowed to 0.
+    finite wherever f0 has underflowed to 0, and an overflowing B fails in the chain's
+    b_field_from_ratio, naming x too.
     """
     cfg, _ = _load(args)
     x = _flag(args, "--x", positive=True)  # the bare Larmor f0 vanishes at x = 0
     ground = ground_state_at(cfg, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, naming x
-        _, *chain = _resonance_chain(cfg, x, ground.m_abs, (args.ir,))
-    b, f0, a, f_closed, shift = (value.item() for value in chain)
+        b, f0, a, f_closed, shift = map(float, _resonance_chain(cfg, x, ground.m_abs, args.ir))
     mu = mu_m(ground.m_abs, cfg.alpha_tilde)
     lines = [f"x = {x:g}   B = {b:.6f} T   ground state (|m|,S) = {ground.label}",
              f"mu_m = {mu:.9g}"]

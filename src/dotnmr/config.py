@@ -165,9 +165,19 @@ def _first_failing(value, passes):
 
 
 def b_field_from_ratio(cfg: DotConfig, x):
-    """Magnetic field in Tesla for a ratio x = omega_c/omega_0 (float or array)."""
+    """Magnetic field in Tesla for a ratio x = omega_c/omega_0 (float or array).
+
+    The one owner of B's finiteness: raises FloatingPointError naming the first x whose B
+    is not finite (it overflows for a large x * hbar_omega0 * mstar_ratio), so every entry
+    point fails alike and nothing downstream meets an infinite B.  A float is compared
+    directly, an array by one reduction.
+    """
     require_non_negative("x", x)
-    return x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
+    b = x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
+    if not (b if isinstance(b, float) else np.max(b, initial=0)) < math.inf:
+        bad = x if isinstance(b, float) else np.ravel(x)[np.argmin(np.isfinite(b).ravel())]
+        raise FloatingPointError(f"magnetic field is not finite at x = {bad}")
+    return b
 
 
 def nuclear_larmor_mhz(cfg: DotConfig, b_tesla):

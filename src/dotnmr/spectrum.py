@@ -49,8 +49,7 @@ def mu_m(m_abs, alpha_tilde: float):
 
     np.sqrt rounds correctly, so each value equals math.sqrt's.
     """
-    if not alpha_tilde >= 0:
-        raise ValueError(f"alpha_tilde must be >= 0, got {alpha_tilde}")
+    require_non_negative("alpha_tilde", alpha_tilde)
     require_non_negative("m_abs", m_abs)
     return np.sqrt(m_abs * m_abs + alpha_tilde)
 

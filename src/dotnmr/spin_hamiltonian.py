@@ -189,29 +189,32 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
 def relative_shift(cfg: DotConfig, x: float, ir_excited: bool = False) -> float:
     """Closed-form relative shift (f - f0)/f0 at ratio x; exactly 0 for singlets where f0 > 0.
 
-    Raises FloatingPointError naming x, as run_sweep does, when the shift is not finite,
-    as it is wherever f0 = gamma_n B has underflowed to 0.  Its absolute error reaches
-    ~6.7e-13 (see _resonance_chain), so a shift of 1e-6 has about 6 true digits.
+    One pass of _resonance_chain on the float x and its ground |m|.  Raises
+    FloatingPointError naming x, as run_sweep does, when the shift is not finite, as it is
+    wherever f0 = gamma_n B has underflowed to 0.  Its absolute error reaches ~6.7e-13
+    (see _resonance_chain), so a shift of 1e-6 has about 6 true digits.
     """
     if not x > 0:
         raise ValueError(f"x must be > 0 (f0 vanishes at B=0), got {x}")
     m_abs = ground_state_at(cfg, x).m_abs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
-        shift = _resonance_chain(cfg, x, m_abs, (ir_excited,))[-1].item()
+        shift = float(_resonance_chain(cfg, x, m_abs, ir_excited)[-1])
     if not math.isfinite(shift):
         raise FloatingPointError(f"relative shift is not finite at x = {x}")
     return shift
 
 
-def _resonance_chain(cfg: DotConfig, x, m_abs, ir_modes):
-    """The triplet rows, B, f0 and, one row per IR mode in ir_modes, A, f and (f - f0)/f0.
+def _resonance_chain(cfg: DotConfig, x, m_abs, ir_excited: bool):
+    """B, f0, A, f and (f - f0)/f0 for one IR mode at x and the ground |m|.
 
-    x and the ground |m| are a float and an int or 1-D arrays of one length, taken as
-    rows.  f0 = gamma_n B, A is coupling_a's (0 for a singlet), and f is nmr_closed_form's
-    for a triplet and f0 itself for a singlet, so a singlet's shift is exactly +0.0 where
-    f0 > 0 and NaN where f0 has underflowed to 0.  The caller runs this under np.errstate
-    and reports a shift that is not finite, naming x.  The triplet rows are gathered once
-    for every mode.
+    x and |m| are a float and an int, giving 0-d values, or 1-D arrays of one length,
+    giving one entry per row; an entry equals the scalar call's value bitwise.  f0 =
+    gamma_n B and A is coupling_a's, exactly 0 for a singlet.  f is nmr_closed_form's
+    where spin_for_m(|m|) marks a triplet and f0 itself on a singlet, so a singlet's shift
+    is exactly +0.0 where f0 > 0 and NaN where f0 has underflowed to 0.  The closed form
+    runs on every row (b_field_from_ratio has refused an infinite B), and its guards keep
+    a negative A from an unvalidated config out.  The caller runs this under np.errstate
+    and reports a shift that is not finite, naming x.
 
     f sums terms of size gamma_e B / 2, so the shift's absolute error reaches about
     1.15 eps gamma_e/gamma_n (~6.7e-13 for the default nuclei) whatever its size: a shift
@@ -219,13 +222,8 @@ def _resonance_chain(cfg: DotConfig, x, m_abs, ir_modes):
     f - f0 = 2A + 4A^2/(sqrt(s^2 + 8A^2) + s) with s = A + (gamma_n + gamma_e) B, would
     move digits of the 100k-row golden sweep, so the tests hold it as a reference only.
     """
-    x, m_abs = np.asarray(x, dtype=float).reshape(-1), np.asarray(m_abs).reshape(-1)
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    triplet = np.flatnonzero(spin_for_m(m_abs))
-    xs, ms, bs = x[triplet], m_abs[triplet], b[triplet]
-    a, f = np.zeros((len(ir_modes), len(x))), np.tile(f0, (len(ir_modes), 1))
-    for k, ir in enumerate(ir_modes):
-        a[k, triplet] = a_t = coupling_a(cfg, xs, ms, ir_excited=ir)
-        f[k, triplet] = nmr_closed_form(a_t, bs, cfg)
-    return triplet, b, f0, a, f, (f - f0) / f0
+    a = coupling_a(cfg, x, m_abs, ir_excited=ir_excited)
+    f = np.where(spin_for_m(m_abs), nmr_closed_form(a, b, cfg), f0)
+    return b, f0, a, f, (f - f0) / f0

@@ -2,10 +2,11 @@
 
 The orbital ground state, the contact coupling (with and without infrared
 excitation of the center of mass) and the resulting nuclear resonance are
-evaluated column-wise, the coupling and resonance over all triplet rows at
-once.  In singlet windows the nucleus is decoupled: the density and coupling
-columns are exactly 0, both resonance columns equal the bare Larmor
-frequency, and the shift columns are exactly 0 where f0 > 0.
+evaluated column-wise over every row at once, one resonance chain per IR mode,
+with singlet rows masked rather than split off.  In singlet windows the
+nucleus is decoupled: the density and coupling columns are exactly 0, both
+resonance columns equal the bare Larmor frequency, and the shift columns are
+exactly 0 where f0 > 0.
 
 SweepSpec checks its fields' types and its bounds' finiteness when built;
 run_sweep checks the grid's ranges and its own steps, which may be a numpy
@@ -67,20 +68,18 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
     """Sweep columns at the ratios x > 0 (a 1-D array, or a float for one row).
 
     B, f0, A, f and the shifts come from the closed-form chain that relative_shift reads
-    too (spin_hamiltonian._resonance_chain): a shift needs f0 > 0, is NaN where f0 has
-    underflowed (run_sweep then fails naming x), and carries an absolute error of up to
-    ~6.7e-13.
+    too (spin_hamiltonian._resonance_chain), run once per IR mode over every row; the
+    density columns are masked by S = spin_for_m(|m|), as A is.  A shift needs f0 > 0, is
+    NaN where f0 has underflowed (run_sweep then fails naming x), and carries an absolute
+    error of up to ~6.7e-13.
     """
     x = np.array(x, dtype=float, ndmin=1)
     m_abs = ground_m_abs(cfg, x)
-    triplet, b, f0, (a, a_cm), (f, f_ir), (shift, shift_ir) = _resonance_chain(
-        cfg, x, m_abs, (False, True))
-    density, density_cm = np.zeros((2, len(x)))  # 0 in a singlet, as the couplings are
-    xs, ms = x[triplet], m_abs[triplet]
-    density[triplet] = delta_m(cfg, xs, ms)
-    density_cm[triplet] = delta_cm(cfg, xs, ms)
-    return Sweep(x, b, m_abs, spin_for_m(m_abs), mu_m(m_abs, cfg.alpha_tilde), density,
-                 density_cm, a, a_cm, f0, f, f_ir, shift, shift_ir)
+    spin = spin_for_m(m_abs)
+    b, f0, a, f, shift = _resonance_chain(cfg, x, m_abs, False)
+    *_, a_cm, f_ir, shift_ir = _resonance_chain(cfg, x, m_abs, True)
+    return Sweep(x, b, m_abs, spin, mu_m(m_abs, cfg.alpha_tilde), delta_m(cfg, x, m_abs) * spin,
+                 delta_cm(cfg, x, m_abs) * spin, a, a_cm, f0, f, f_ir, shift, shift_ir)
 
 
 def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:

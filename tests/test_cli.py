@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from dotnmr import (ConfigError, b_field_from_ratio, cli, load_config, magic_transitions,
-                    nuclear_larmor_mhz, relative_shift, run_sweep)
+from dotnmr import (ConfigError, b_field_from_ratio, cli, ground_state_at, load_config,
+                    magic_transitions, nuclear_larmor_mhz, relative_shift, run_sweep)
 from dotnmr.cli import main
 from dotnmr.spectrum import _staircase
 
@@ -225,11 +225,36 @@ def test_entry_points_agree_where_f0_underflows(tmp_path, capsys, config, x):
         assert capsys.readouterr() == ("", f"numerical failure: nmr result is not finite at x = {x}\n")
 
 
+@pytest.mark.parametrize("x", [0.3, 1.0])
+def test_entry_points_agree_where_b_overflows(tmp_path, capsys, x):
+    # a valid config whose B = x hbar_omega0 m*/m_e / K overflows at every x in the
+    # window, in the singlet (x = 0.3) and in the triplet (1, 1) (x = 1.0) alike: every
+    # entry point fails naming x before it prints anything
+    path = tmp_path / "c.json"
+    path.write_text('{"g_factor": 0, "hbar_omega0": 1e308, "mstar_ratio": 10}')
+    cfg, _ = load_config(path)
+    assert ground_state_at(cfg, x).label == {0.3: (0, 0), 1.0: (1, 1)}[x]
+    message = rf"^magnetic field is not finite at x = {x}$"
+    with pytest.raises(FloatingPointError, match=message):
+        run_sweep(cfg, x, x + 0.1, 3)
+    for ir in (False, True):
+        with pytest.raises(FloatingPointError, match=message):
+            relative_shift(cfg, x, ir_excited=ir)
+        assert main(["nmr", "--x", repr(x), "--config", str(path)] + (["--ir"] if ir else [])) == 2
+        assert capsys.readouterr() == ("", f"numerical failure: {message[1:-1]}\n")
+    x_star = magic_transitions(cfg, 0.05, 5.0)[0].x_star
+    assert main(["transitions", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"numerical failure: magnetic field is not finite at x = {x_star}\n")
+
+
 def test_sweep_guard_message_names_one_value_of_an_array(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.json").write_text('{"mstar_ratio": 1e308}')
     assert main(["sweep", "--steps", "100000", "--config", "c.json"]) == 2
-    assert capsys.readouterr().err == "numerical failure: b_tesla must be finite, got inf\n"
+    # B = x 2.5e308 / K overflows from the grid's 673rd x on, and the message names that x
+    assert capsys.readouterr().err == (
+        "numerical failure: magnetic field is not finite at x = 0.08326433264332644\n")
 
 
 @pytest.mark.parametrize("alpha_tilde", [2e6, 1e40])

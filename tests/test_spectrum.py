@@ -3,8 +3,10 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -135,8 +137,10 @@ def test_mu_m_is_math_sqrt_bitwise(m, alpha):
 def test_mu_m_rejects_negative():
     with pytest.raises(ValueError):
         mu_m(-1, 3.0)
-    with pytest.raises(ValueError):
-        mu_m(1, -0.5)
+    # require_non_negative's message, for a float, an int and NaN alike
+    for alpha in (-0.5, -1, math.nan):
+        with pytest.raises(ValueError, match=rf"^alpha_tilde must be >= 0, got {alpha}$"):
+            mu_m(1, alpha)
 
 
 def test_effective_omega_ratio():
@@ -218,6 +222,32 @@ def test_magic_transitions_zero_g_variant():
     assert len(points) == 1
     assert abs(points[0].x_star - boundary_singlet_triplet(0.0)) <= 1e-8
     assert round(points[0].x_star, 5) == 0.55624
+
+
+def test_crossing_is_derived_symbolically(default_cfg):
+    # two labels cross where sqrt(x^2+4) dmu = x dp, with k = dp/dmu; k = 1 + u, u > 0
+    x, dmu, u = sympy.symbols("x Delta_mu u", positive=True)
+    k = 1 + u
+    (root,) = sympy.solve(sympy.sqrt(x**2 + 4) * dmu - x * k * dmu, x)
+    assert sympy.simplify(root - 2 / sympy.sqrt(k**2 - 1)) == 0
+    assert sympy.simplify(root / sympy.sqrt(sympy.factor(root**2 + 4)) - 1 / k) == 0  # t* = 1/k
+    # and no crossing at x > 0 where k <= 1
+    assert sympy.solve(sympy.sqrt(x**2 + 4) * dmu - x * dmu / k, x) == []
+    # evaluated at 50 digits from the staircase's own floats mu_m and z = g m*/m_e, as the
+    # shift oracle takes the sweep's float A and B: from the exact mu, their roundings,
+    # amplified by dmu and k^2 - 1, put the 3 -> 5 crossing 11 ulp away
+    x_star = sympy.lambdify(u, root, "mpmath")
+    cfg = default_cfg
+    z = cfg.g_factor * cfg.mstar_ratio
+    points = magic_transitions(cfg, 0.0, 5.0)
+    assert [(p.from_state[0], p.to_state[0]) for p in points] == [(0, 1), (1, 3), (3, 5)]
+    for p in points:
+        (m_a, s_a), (m_b, s_b) = p.from_state, p.to_state
+        mu_a, mu_b = mu_m(np.array([m_a, m_b]), cfg.alpha_tilde).tolist()
+        with mpmath.workdps(50):
+            k_exact = (m_b - m_a + mpmath.mpf(z) * (s_b - s_a)) / (mpmath.mpf(mu_b) - mu_a)
+            want = float(x_star(k_exact - 1))
+        assert abs(p.x_star - want) <= 4 * math.ulp(want)
 
 
 def test_magic_transitions_empty_window(default_cfg):

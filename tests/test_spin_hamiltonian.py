@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotnmr import (
@@ -22,8 +22,8 @@ from dotnmr import (
     run_sweep,
     validate_config,
 )
-from dotnmr.spectrum import magic_transitions
-from dotnmr.spin_hamiltonian import spin_basis
+from dotnmr.spectrum import _staircase, ground_m_abs, magic_transitions
+from dotnmr.spin_hamiltonian import _resonance_chain, spin_basis
 
 
 def test_basis_ordering_triplet():
@@ -261,6 +261,31 @@ def test_shift_error_is_bounded_by_the_oracle(g, mstar, alpha, m_max, x_lo):
             exact = exact_shift(a, b, cfg)
             assert abs(shift - exact) <= bound
             assert abs(stable_shift(a, b, cfg) - exact) <= 4.0 * EPS * abs(exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.floats(0.0, 3.0),
+    mstar=st.floats(0.01, 1.0),
+    alpha=st.floats(0.0, 1000.0),
+    m_max=st.integers(5, 40),
+    xs=st.lists(st.floats(1e-3, 30.0), max_size=6),
+)
+@example(g=2.0, mstar=0.19, alpha=3.0, m_max=15, xs=[5e-324])  # f0 underflows: NaN shifts
+def test_resonance_chain_gives_the_same_bits_on_floats_and_arrays(g, mstar, alpha, m_max, xs):
+    # one pass over a float and its int |m| gives 0-d values, each the array call's entry
+    cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
+    edges = [0.0, *_staircase(cfg)[0].tolist(), 30.0]
+    # an x inside every window below 30 as well, so singlets and triplets both occur
+    x = np.array(xs + [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:]) if lo < 30.0])
+    m_abs = ground_m_abs(cfg, x)
+    for ir in (False, True):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows = _resonance_chain(cfg, x, m_abs, ir)
+            for i, (x_i, m_i) in enumerate(zip(x.tolist(), m_abs.tolist())):
+                point = _resonance_chain(cfg, x_i, m_i, ir)
+                assert all(np.ndim(value) == 0 for value in point)
+                assert [np.float64(v).tobytes() for v in point] == [v[i].tobytes() for v in rows]
 
 
 def test_closed_form_is_the_f_z_block_resonance_symbolically(default_cfg):
