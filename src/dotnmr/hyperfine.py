@@ -1,13 +1,16 @@
 """Contact coupling between the electron pair and the central nucleus.
 
-The electron density at the dot center for the lowest relative branch is
+The electron density at the dot center for the lowest relative branch, with
+the center of mass (CM) in its ground state, is
 
     Delta(m) = 1 / (pi l^2 2^(1+mu_m)),      l^2 = hbar / (m* omega),
 
-reported here in oscillator-length units: Delta * l0^2 = sqrt(x^2+4) /
-(pi 2^(1+mu_m)).  Exciting the center-of-mass into its first excited level
-(infrared absorption; the relative motion is untouched) rescales the density
-by (1 + mu_m)/2.  The spin-Hamiltonian coupling constant is A(m) =
+where omega = omega_0 sqrt(x^2+4) (spectrum.effective_omega_ratio), so l is
+the CM oscillator length.  It is reported here in oscillator-length units:
+Delta * l0^2 = sqrt(x^2+4) / (pi 2^(1+mu_m)).  Exciting the CM into its level
+with |m_cm| = 1 and no radial node (infrared absorption; the relative motion
+is untouched) rescales the density by (1 + mu_m)/2.  The tests derive these
+three results with sympy.  The spin-Hamiltonian coupling constant is A(m) =
 hyperfine_c * Delta * l0^2 / 2 in MHz for the triplet.  The pair's spin S is
 not an input: antisymmetry fixes it from |m| (spectrum.spin_for_m), and the
 singlet of an even |m| is uncoupled, so A is exactly 0 there.
@@ -53,7 +56,7 @@ def delta_m(cfg: DotConfig, x, m_abs):
 
 
 def delta_cm(cfg: DotConfig, x, m_abs):
-    """Density with the CM in its first excited level: delta_m * (1+mu_m)/2."""
+    """Density with the CM in its |m_cm| = 1 level: delta_m * (1+mu_m)/2."""
     return delta_m(cfg, x, m_abs) * 0.5 * (1.0 + mu_m(m_abs, cfg.alpha_tilde))
 
 

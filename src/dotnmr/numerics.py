@@ -4,15 +4,15 @@ All matrices here are small (dim <= 16) real or complex numpy arrays with
 entries in MHz; a real input stays real.  Each is converted to float64 or
 complex128 and shape-checked once (_square) and checked Hermitian once, by
 one formula for real and complex.  The eigendecomposition is LAPACK's
-Hermitian solver, called as numpy.linalg.eigh calls it; hermitian_eig then
-fixes each eigenvector's phase so that its largest-magnitude component is
-real and positive, which makes repeated calls bitwise identical.  Kets are
+Hermitian solver, called as numpy.linalg.eigh calls it, and hermitian_eig
+returns its eigenvectors as they come, bitwise eigh's: their signs and phases
+are LAPACK's, and repeated calls are bitwise identical.  Kets are
 plain complex vectors normalized to 1.  A spin-1/2 needs no eigensolver:
 spin_half_propagator is the SU(2) closed form exp(-i 2 pi K t) of a
 traceless 2x2 Hermitian K, and gates builds its RF pulses and rotations
 from its entries.
 
-Three routes exist only for speed, each paid for end to end (bench/run.py,
+Two routes exist only for speed, each paid for end to end (bench/run.py,
 spin-gates work_per_ref, alternated 30 s pairs, 2-vCPU VM):
 
 * evolve steps a 2x2 H on its entries as Python numbers, by require_hermitian's
@@ -21,9 +21,6 @@ spin-gates work_per_ref, alternated 30 s pairs, 2-vCPU VM):
 * _eigh calls the LAPACK gufunc behind numpy.linalg.eigh under the error
   state eigh sets, skipping the dtype and shape handling _square has done;
   tests pin its bytes to eigh's: 0.1018 -> 0.1082 (+6.3 %, 9/10, IQR 0.0040).
-* hermitian_eig takes a real pivot's phase as sign(p), the same bytes as
-  p* / |p| with p set to |p|; with the complex formula for both, 0.1165 ->
-  0.1134 (-2.6 %, worse in 4/5, beyond the parent's IQR of 0.0016).
 """
 
 from __future__ import annotations
@@ -135,22 +132,13 @@ def _check_hermitian_2x2(h00, h01, h10, h11) -> None:
 def hermitian_eig(h) -> EigenSystem:
     """Diagonalize a Hermitian matrix with LAPACK (numpy.linalg.eigh).
 
-    Eigenvalues come back ascending; eigenvector columns are orthonormal with
-    a fixed phase convention (largest-magnitude component real positive), so
-    repeated calls are bitwise identical.  A real matrix gets real
-    eigenvectors, whose convention is then a sign.
+    Eigenvalues come back ascending and eigenvector columns orthonormal, both
+    bitwise what numpy.linalg.eigh returns.  No phase convention is imposed:
+    each column's sign or phase is LAPACK's, and may differ between LAPACK
+    builds, but repeated calls are bitwise identical.  A real matrix gets real
+    eigenvectors.
     """
-    values, vectors = _eigh(require_hermitian(h))
-    rows = np.abs(vectors).argmax(axis=0)
-    cols = np.arange(values.shape[0])
-    pivots = vectors[rows, cols]
-    if vectors.dtype.kind == "f":  # the phase is sign(p), and p sign(p) = |p| exactly
-        vectors *= np.sign(pivots)
-        return EigenSystem(values, vectors)
-    mags = np.abs(pivots)
-    vectors *= pivots.conj() / mags
-    vectors[rows, cols] = mags  # no rounding residue in the pivots
-    return EigenSystem(values, vectors)
+    return EigenSystem(*_eigh(require_hermitian(h)))
 
 
 def _spin_half_entries(z: float, b: complex, t: float) -> tuple[complex, ...]:
@@ -196,9 +184,7 @@ def evolve(h, psi, t: float) -> np.ndarray:
     2x2 H is checked and propagated on its four entries as Python numbers:
     its trace phase exp(-i pi (h00 + h11) t) times the spin_half_propagator
     entries of its traceless part.  Larger H go through
-    V exp(-i 2 pi lambda t) V^dag; a phase on any column of V cancels there,
-    so the eigenvectors come straight from eigh without hermitian_eig's
-    phase convention.
+    V exp(-i 2 pi lambda t) V^dag, where a phase on any column of V cancels.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")

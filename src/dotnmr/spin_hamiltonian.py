@@ -25,7 +25,7 @@ so build_spin_matrix only scales them by A, gamma_n B and gamma_e B and
 returns the bare real symmetric array, its rows and columns in spin_basis(S)
 order.  A resonance then pays for that assembly, one hermitian_eig (mostly
 numpy's fixed cost per operation around a ~2 us LAPACK solve; see numerics)
-and a selection on Python floats.
+and a selection and a sign on Python floats.
 """
 
 from __future__ import annotations
@@ -160,6 +160,13 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     Python floats: the F_z = -1/2 pair is the last two of a stable sort by
     weight on |+;1,-1> and |-;1,0>, and ties for the stretched state go to
     the first eigenvector.  The eigenvalues are read once, as floats.
+
+    hermitian_eig leaves each eigenvector's sign to LAPACK, and the selection
+    reads only squares, so c1 and c2 are the one place a sign shows.  |Psi>
+    takes the sign of its first entry of largest magnitude in basis order,
+    which fixes the signs nmr prints whatever LAPACK returned.  The rule lives
+    here because these two amplitudes are its only reader: signing the one
+    column reported costs less than a pass over every column in hermitian_eig.
     """
     values, vectors = hermitian_eig(build_spin_matrix(a_mhz, b_tesla, cfg, s_total=1))
     rows = vectors.tolist()
@@ -175,13 +182,16 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     j_psi = i if o_i > o_j else j
     low = [v * v for v in stretched]
     j_low = low.index(max(low))
+    c1, c2 = flip[j_psi], keep[j_psi]
+    if max((row[j_psi] for row in rows), key=abs) < 0.0:
+        c1, c2 = -c1, -c2
 
     energies = values.tolist()
     return NmrResult(
         f_nmr=energies[j_low] - energies[j_psi],
         f_closed=_closed_form(a_mhz, b_tesla, cfg),
-        c1=flip[j_psi],
-        c2=keep[j_psi],
+        c1=c1,
+        c2=c2,
         f0=nuclear_larmor_mhz(cfg, b_tesla),
     )
 

@@ -1,7 +1,10 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -365,6 +368,58 @@ def test_cnot_conditional_matches_brute_force_mesh():
         got = 20.0 * cnot_conditional(model, ratio).fidelity - 4.0
         assert got >= mesh.max() - 1e-12
         assert abs(got + best.fun) <= 1e-9
+
+
+def test_cnot_peak_is_derived_symbolically():
+    # over Z = Rz(alpha) x Rz(beta), |Tr(CNOT^dag Z U)| for a U of two SU(2) blocks peaks at
+    # 2 max|a -/+ i b|, with a = U[0,0] (spectator block) and b = U[2,3] (driven block)
+    al, be, big_a, big_b = sympy.symbols("alpha beta A B", real=True)
+    ar, ai, br, bi, cr, ci, dr, di = sympy.symbols("a_r a_i b_r b_i c_r c_i d_r d_i", real=True)
+    a, b, c, d = ar + sympy.I * ai, br + sympy.I * bi, cr + sympy.I * ci, dr + sympy.I * di
+    u = sympy.diag(sympy.Matrix([[a, -c.conjugate()], [c, a.conjugate()]]),
+                   sympy.Matrix([[d, b], [-b.conjugate(), d.conjugate()]]))
+    cnot = sympy.Matrix(CNOT.real.astype(int))
+
+    def rz(t):  # rotate_qubit((0, 0, 1), t) = exp(-i t Sz)
+        return sympy.diag(sympy.exp(-sympy.I * t / 2), sympy.exp(sympy.I * t / 2))
+
+    trace = (cnot.H * sympy.kronecker_product(rz(al), rz(be)) * u).trace()
+    assert not trace.free_symbols & {cr, ci, dr, di}  # only a and b enter
+    # with A = Re(e^(-i beta/2) a) and B = Im(e^(-i beta/2) b), both real:
+    # Tr = 2 (A e^(-i alpha/2) + i B e^(i alpha/2)), so |Tr|^2 = 4 (A^2 + B^2 - 2 A B sin alpha)
+    rot = sympy.exp(-sympy.I * be / 2)
+    re_a, im_b = sympy.re(rot * a), sympy.im(rot * b)
+    split = 2 * (big_a * sympy.exp(-sympy.I * al / 2) + sympy.I * big_b * sympy.exp(sympy.I * al / 2))
+    assert sympy.expand(sympy.expand_complex(
+        trace - split.subs({big_a: re_a, big_b: im_b}))) == 0
+    assert sympy.simplify(sympy.expand_complex(split * split.conjugate())
+                          - 4 * (big_a**2 + big_b**2 - 2 * big_a * big_b * sympy.sin(al))) == 0
+    # over alpha the peak is 2 (|A| + |B|) = 2 max|A -/+ B|, and A -/+ B = Re(e^(-i beta/2) w)
+    # with w = a +/- i b, whose peak over beta is |w|: hence 2 max|a -/+ i b|
+    for sign in (1, -1):
+        w = a + sign * sympy.I * b
+        assert sympy.expand(sympy.expand_complex(re_a - sign * im_b - sympy.re(rot * w))) == 0
+    peak = sympy.lambdify((ar, ai, br, bi), 2 * sympy.Max(sympy.Abs(a - sympy.I * b),
+                                                          sympy.Abs(a + sympy.I * b)), "mpmath")
+
+    rng = np.random.default_rng(11)
+    for k in range(12):
+        f_a, f_b = rng.uniform(5.0, 50.0, 2)
+        model = TwoQubitModel(f_a=f_a, f_b=f_b, j_coupling=(-1) ** k * rng.uniform(1e-4, 0.05))
+        ratio = 2.0 - rng.uniform(0.0, 2.0)
+        u_num = rwa_pulse(model, selective_pi(model, ratio), 1)
+        a_num, b_num = complex(u_num[0, 0]), complex(u_num[2, 3])
+        with mpmath.workdps(50):
+            want = peak(a_num.real, a_num.imag, b_num.real, b_num.imag)
+            fidelity = float((want**2 + 4) / 20)
+        assert abs(cnot_conditional(model, ratio).fidelity - fidelity) <= 4 * math.ulp(fidelity)
+        # the peak is reached: beta = 2 arg(w) for the larger w, then sin(alpha) = -sign(A B)
+        w = max(a_num - 1j * b_num, a_num + 1j * b_num, key=abs)
+        beta = 2.0 * cmath.phase(w)
+        turn = cmath.exp(-0.5j * beta)
+        alpha = -math.pi / 2 if (turn * a_num).real * (turn * b_num).imag >= 0 else math.pi / 2
+        z = np.kron(rotate_qubit((0.0, 0.0, 1.0), alpha), rotate_qubit((0.0, 0.0, 1.0), beta))
+        assert abs(abs(np.trace(CNOT.conj().T @ z @ u_num)) - float(want)) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,10 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -232,3 +234,88 @@ def test_density_at_the_end_of_the_table(default_cfg, m, want):
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
     ms = np.array([m, 1, m])
     assert delta_m(default_cfg, 2.5, ms)[[0, 2]].tolist() == [want[0], want[0]]
+
+
+# The pair separates into a centre of mass (CM, mass 2 m*) and a relative motion (mass
+# m*/2), each in a parabola of frequency Omega = omega_0 sqrt(x^2 + 4) / 2, and a
+# beta / r^2 repulsion acts on the relative motion only.  The tests below derive what
+# the hyperfine docstring states from that alone.
+_R, _S = sympy.symbols("r s", positive=True)  # s = r^2
+_HBAR, _OMEGA, _OMEGA0, _MSTAR, _X = sympy.symbols("hbar Omega omega_0 m_star x", positive=True)
+
+
+def _radial_residual(u, mass, m, beta, energy):
+    """(H u - E u) / u for the 2-D radial Hamiltonian of u(r) e^(i m phi), simplified.
+
+    H = -hbar^2/2M (d^2/dr^2 + (1/r) d/dr - m^2/r^2) + M Omega^2 r^2 / 2 + beta / r^2.
+    """
+    hu = (-_HBAR**2 / (2 * mass) * (u.diff(_R, 2) + u.diff(_R) / _R - m**2 / _R**2 * u)
+          + mass * _OMEGA**2 * _R**2 / 2 * u + beta / _R**2 * u)
+    return sympy.cancel(sympy.powsimp(sympy.expand((hu - energy * u) / u), force=True))
+
+
+def _gaussian_state(mass, power):
+    """r^power e^(-r^2 / 2 l^2), l^2 = hbar / (M Omega): the nodeless state of |m| = power."""
+    return _R**power * sympy.exp(-_R**2 * mass * _OMEGA / (2 * _HBAR))
+
+
+def _plane_density(u):
+    """|u(r)|^2 normalized over the plane, as a function of s = r^2 (d^2r = pi ds)."""
+    rho = sympy.powsimp((u**2).subs(_R, sympy.sqrt(_S)), force=True)
+    return rho / sympy.integrate(sympy.pi * rho, (_S, 0, sympy.oo))
+
+
+def _centre_density(cm_state, mu):
+    """One electron's density at the centre: electron 1 sits at R + r/2 = 0, so R^2 = s/4.
+
+    The relative state is r^mu e^(-r^2 / 2 l^2) (see the radial test), with the CM
+    in cm_state; the result is in l0 units, l0^2 = hbar / (m* omega_0).
+    """
+    rel = _plane_density(_gaussian_state(_MSTAR / 2, mu))
+    cm = _plane_density(cm_state).subs(_S, _S / 4)
+    density = sympy.integrate(sympy.pi * cm * rel, (_S, 0, sympy.oo))
+    omega = _OMEGA0 * sympy.sqrt(_X**2 + 4) / 2
+    return sympy.simplify(density.subs(_OMEGA, omega) * _HBAR / (_MSTAR * _OMEGA0))
+
+
+def test_relative_ground_state_is_derived_symbolically():
+    # r^mu e^(-r^2 / 2 l^2) solves the relative radial equation at E = hbar Omega (1 + mu),
+    # mu = sqrt(m^2 + 2 (m*/2) beta / hbar^2) = sqrt(m^2 + alpha_tilde), as mu_m computes
+    m, beta = sympy.symbols("m beta", positive=True)
+    mu = sympy.sqrt(m**2 + _MSTAR * beta / _HBAR**2)
+    u = _gaussian_state(_MSTAR / 2, mu)
+    assert _radial_residual(u, _MSTAR / 2, m, beta, _HBAR * _OMEGA * (1 + mu)) == 0
+    # the CM's ground state and its level with |m_cm| = 1 and no radial node
+    assert _radial_residual(_gaussian_state(2 * _MSTAR, 0), 2 * _MSTAR, 0, 0, _HBAR * _OMEGA) == 0
+    assert _radial_residual(_gaussian_state(2 * _MSTAR, 1), 2 * _MSTAR, 1, 0,
+                            2 * _HBAR * _OMEGA) == 0
+    assert mu.subs(beta, 3 * _HBAR**2 / _MSTAR).subs(m, 3) == sympy.sqrt(12)
+    assert mu_m(3, 3.0) == math.sqrt(12.0)
+
+
+def test_centre_density_is_derived_symbolically(default_cfg):
+    # with the CM in its ground state, one electron's centre density in l0 units is
+    # sqrt(x^2 + 4) / (pi 2^(1 + mu)), which delta_m evaluates from its float mu_m
+    mu = sympy.Symbol("mu", positive=True)
+    density = _centre_density(_gaussian_state(2 * _MSTAR, 0), mu)
+    assert sympy.simplify(density - sympy.sqrt(_X**2 + 4) / (sympy.pi * 2**(1 + mu))) == 0
+    at = sympy.lambdify((_X, mu), density, "mpmath")
+    for x in (0.0, 0.39584, 2.5, 7.0):
+        for m in (0, 1, 3, 15):
+            with mpmath.workdps(50):
+                want = float(at(mpmath.mpf(x), mpmath.mpf(float(mu_m(m, default_cfg.alpha_tilde)))))
+            assert abs(delta_m(default_cfg, x, m) - want) <= 4 * math.ulp(want)
+
+
+def test_cm_level_with_m_cm_one_rescales_the_density_symbolically(default_cfg):
+    # infrared absorption lifts the CM into its |m_cm| = 1 level; the relative motion and
+    # with it mu stay, and the centre density grows by (1 + mu) / 2
+    mu = sympy.Symbol("mu", positive=True)
+    ground = _centre_density(_gaussian_state(2 * _MSTAR, 0), mu)
+    excited = _centre_density(_gaussian_state(2 * _MSTAR, 1), mu)
+    assert sympy.simplify(excited / ground - (1 + mu) / 2) == 0
+    for x in (0.0, 2.5):
+        for m in (0, 1, 3, 15):
+            factor = 0.5 * (1.0 + float(mu_m(m, default_cfg.alpha_tilde)))
+            assert delta_cm(default_cfg, x, m) == pytest.approx(
+                factor * delta_m(default_cfg, x, m), rel=2 * np.finfo(float).eps)

@@ -365,6 +365,8 @@ def _reference_selection(values, vectors):
 
     The pair is the last two of a stable argsort of the weight on |+;1,-1> and
     |-;1,0>, the stretched state the first argmax of the weight on |-;1,-1>.
+    vectors are eigh's, with LAPACK's signs: |Psi> takes the sign of its entry
+    at the first argmax of its magnitudes.
     """
     weight = vectors[_ROWS] ** 2
     cand = np.argsort(weight[0] + weight[1], kind="stable")[-2:]
@@ -373,7 +375,9 @@ def _reference_selection(values, vectors):
         return None
     j_psi = cand[0] if o0 > o1 else cand[1]
     j_low = int(weight[2].argmax())
-    c1, c2 = vectors[_ROWS[:2], j_psi]
+    psi = vectors[:, j_psi]
+    sign = -1.0 if psi[np.abs(psi).argmax()] < 0.0 else 1.0
+    c1, c2 = sign * vectors[_ROWS[:2], j_psi]
     return float(values[j_low] - values[j_psi]), c1, c2
 
 
@@ -391,14 +395,17 @@ _FIELD = st.one_of(st.just(0.0), st.floats(1e-4, 1e2))
 @settings(max_examples=200, deadline=None)
 @given(a=_FIELD, b=_FIELD)
 def test_nmr_selection_matches_stable_argsort_reference(default_cfg, a, b):
-    es = hermitian_eig(build_spin_matrix(a, b, default_cfg, 1))
-    assert _selection(a, b, default_cfg) == _reference_selection(*es)
+    eig = np.linalg.eigh(build_spin_matrix(a, b, default_cfg, 1))
+    assert _selection(a, b, default_cfg) == _reference_selection(*eig)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from((0.0, 0.5, -0.5, 1.0)), min_size=18, max_size=18))
+# |Psi> is column 0, whose two largest entries -0.5 (|+;1,-1>) and 0.5 (|-;1,0>) tie:
+# the first in basis order sets the sign, so c1 = 0.5 and c2 = -0.5
+@example(entries=[-0.5, 0, 0, 0, 0, 0, 0.5, 1.0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1.0])
 def test_nmr_selection_tie_rules(default_cfg, entries):
-    # eigenvectors with many equal weights: the tie rules decide the selection
+    # eigenvectors with many equal weights: the tie rules decide the selection and the sign
     vectors = np.zeros((6, 6))
     vectors[_ROWS] = np.reshape(entries, (3, 6))
     values = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])  # each difference names its pair
@@ -427,7 +434,7 @@ def test_nmr_numeric_diagonalizes_the_built_matrix_once(default_cfg, a, b):
     assert not kwargs
     assert passed.dtype == want.dtype == np.float64 and passed.shape == (6, 6)
     assert passed.tobytes() == want.tobytes()
-    ref = _reference_selection(*hermitian_eig(want))
+    ref = _reference_selection(*np.linalg.eigh(want))
     assert (got is None) == (ref is None)
     if got is None:
         return
