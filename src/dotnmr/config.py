@@ -18,7 +18,9 @@ require_* guards check the values computed from them where each enters.
 The guards compare a Python int or float directly, numpy's reductions being
 for arrays; with numpy's route for all values, spin-gates work_per_ref read
 0.1213 -> 0.0881 (-27 %, worse in 5/5 alternated 30 s pairs of bench/run.py,
-parent IQR 0.0067, 2-vCPU VM).
+parent IQR 0.0067, 2-vCPU VM).  b_field_from_ratio takes numpy's route for a float
+too: a float branch there moved device-scan work_per_ref only 0.1025 -> 0.1036 (+1.0 %,
+better in 4/5 alternated 30 s pairs, inside the IQR 0.0075 of the runs with it).
 """
 
 from __future__ import annotations
@@ -169,13 +171,12 @@ def b_field_from_ratio(cfg: DotConfig, x):
 
     The one owner of B's finiteness: raises FloatingPointError naming the first x whose B
     is not finite (it overflows for a large x * hbar_omega0 * mstar_ratio), so every entry
-    point fails alike and nothing downstream meets an infinite B.  A float is compared
-    directly, an array by one reduction.
+    point fails alike and nothing downstream meets an infinite B.
     """
     require_non_negative("x", x)
     b = x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
-    if not (b if isinstance(b, float) else np.max(b, initial=0)) < math.inf:
-        bad = x if isinstance(b, float) else np.ravel(x)[np.argmin(np.isfinite(b).ravel())]
+    if not np.max(b, initial=0) < math.inf:
+        bad = np.ravel(x)[np.argmin(np.isfinite(b).ravel())]
         raise FloatingPointError(f"magnetic field is not finite at x = {bad}")
     return b
 

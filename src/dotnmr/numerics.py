@@ -12,15 +12,20 @@ spin_half_propagator is the SU(2) closed form exp(-i 2 pi K t) of a
 traceless 2x2 Hermitian K, and gates builds its RF pulses and rotations
 from its entries.
 
-Two routes exist only for speed, each paid for end to end (bench/run.py,
-spin-gates work_per_ref, alternated 30 s pairs, 2-vCPU VM):
+Three routes exist only for speed, each paid for by its own end-to-end number:
+spin-gates work_per_ref on a copy without the route -> with it (bench/run.py, five
+alternated 30 s pairs, seeds 1-5, 2-vCPU VM, numpy 2.4; the route read better in the
+pairs counted, against the IQR of the runs with it):
 
 * evolve steps a 2x2 H on its entries as Python numbers, by require_hermitian's
   rule and errors; larger H go through _eigh, whose phases cancel in
-  V exp(-i 2 pi lambda t) V^dag: 0.0715 -> 0.0943 (x1.32, 10/10, IQR 0.0023).
+  V exp(-i 2 pi lambda t) V^dag: 0.0871 -> 0.1386 (x1.59, 5/5, IQR 0.0085).
 * _eigh calls the LAPACK gufunc behind numpy.linalg.eigh under the error
   state eigh sets, skipping the dtype and shape handling _square has done;
-  tests pin its bytes to eigh's: 0.1018 -> 0.1082 (+6.3 %, 9/10, IQR 0.0040).
+  tests pin its bytes to eigh's: 0.1194 -> 0.1327 (+11.1 %, 5/5, IQR 0.0036).
+* _check_hermitian_array subtracts H - H^dag without entering an error state
+  when 2 max|H| is finite, where the subtraction cannot overflow:
+  0.1242 -> 0.1339 (+7.8 %, 4/5, IQR 0.0081).
 """
 
 from __future__ import annotations

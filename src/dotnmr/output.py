@@ -2,28 +2,28 @@
 
 load_config parses a config file; validate_config and SweepSpec check its values.
 
-All emitted bytes are deterministic: CSV numbers are Python's "%.9g" (9
-significant digits; "%d" for the two label columns) and SVG point
-coordinates its "%.2f", newlines are '\\n', and nothing date- or
-platform-dependent is written, so repeated runs produce identical digests.
-Those numbers are rendered column-wise by ``_numfmt`` with exact half-even
-rounding, the same bytes as Python's %; a CSV row holding a cell outside
-[1e-14, 1e9) (other than 0) is formatted by Python's % itself.  Non-finite
-cells are refused, so no emitted file holds "nan" or "inf".
+All emitted bytes are deterministic: CSV numbers are Python's "%.9g" (9 significant
+digits; "%d" for the two label columns) and SVG point coordinates its "%.2f", newlines
+are '\\n', and nothing date- or platform-dependent is written, so repeated runs produce
+identical digests.  Those numbers are rendered column-wise by ``_numfmt`` with exact
+half-even rounding, the same bytes as Python's %; a CSV row holding a cell outside
+[1e-14, 1e9) (other than 0) is formatted by Python's % itself.  Non-finite cells are
+refused, so no emitted file holds "nan" or "inf".
 
-Every output is written as a new file: whatever is at its path is removed
-first, so a rerun does not rewrite the previous run's file in place, and a
-symlink at an output path is replaced, not followed.  The writers hash the
-bytes as they write them, and the manifest records those digests; no file
-is read back.  Nothing is synced to disk: after a system crash soon after a
-run, an output of that run may be empty or missing, with the previous run's
-file already gone; its manifest digest then no longer matches, and
+Every output is written as a new file: whatever is at its path is removed first, so a
+rerun does not rewrite the previous run's file in place, and a symlink at an output path
+is replaced, not followed.  The writers hash the bytes as they write them, and the
+manifest records those digests; no file is read back.  Nothing is synced to disk: after a
+system crash soon after a run, an output of that run may be empty or missing, with the
+previous run's file already gone; its manifest digest then no longer matches, and
 rerunning the sweep rewrites the same bytes.
 
-load_config's bytes read and shared decoder are paid for end to end: with
-json.loads(path.read_text(...)), device-scan work_per_ref read 0.1067 ->
-0.1011 (-5.2 %, worse in 5/5 alternated 30 s pairs of bench/run.py, IQR
-0.0010, 2-vCPU VM).
+Two choices are paid for end to end (bench/run.py, alternated 30 s pairs, 2-vCPU VM).
+load_config's bytes read and shared decoder: with json.loads(path.read_text(...)),
+device-scan work_per_ref read 0.1067 -> 0.1011 (-5.2 %, worse in 5/5 pairs, IQR 0.0010).
+write_csv and emit_svg import _numfmt on first use, which transitions, nmr and gate never
+make: with one module-level import, device-scan setup_s read 0.1238 -> 0.1299 s (+5.0 %,
+worse in 5/5 pairs, parent IQR 0.0048; sweep-dense and spin-gates +4.5 % and +4.2 %).
 """
 
 from __future__ import annotations

@@ -127,11 +127,6 @@ def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
     """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays)."""
     require_finite_non_negative("a_mhz", a_mhz)
     require_finite_non_negative("b_tesla", b_tesla)
-    return _closed_form(a_mhz, b_tesla, cfg)
-
-
-def _closed_form(a_mhz, b_tesla, cfg: DotConfig):
-    """nmr_closed_form's arithmetic, for an (A, B) whose guards have already run."""
     gn = cfg.gamma_n
     ge = cfg.gamma_e
     s = a_mhz + (gn + ge) * b_tesla
@@ -189,7 +184,7 @@ def nmr_numeric(a_mhz: float, b_tesla: float, cfg: DotConfig) -> NmrResult:
     energies = values.tolist()
     return NmrResult(
         f_nmr=energies[j_low] - energies[j_psi],
-        f_closed=_closed_form(a_mhz, b_tesla, cfg),
+        f_closed=nmr_closed_form(a_mhz, b_tesla, cfg),
         c1=c1,
         c2=c2,
         f0=nuclear_larmor_mhz(cfg, b_tesla),

@@ -197,13 +197,17 @@ def test_exit_code_for_overflowing_x(tmp_path, monkeypatch, capsys, command, x):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("text", ['{"hyperfine_c": 1e308}', '{"hbar_omega0": 1e-320}'])
+@pytest.mark.parametrize("text", ['{"hyperfine_c": 1e308}', '{"hbar_omega0": 1e-320}',
+                                  '{"hbar_omega0": 1e305, "mstar_ratio": 1.0}'])
 def test_nmr_exits_2_naming_x_before_printing_a_non_finite_resonance(tmp_path, capsys, text):
     # f_nmr (closed) overflows at hyperfine_c = 1e308 and the shift at hbar_omega0 = 1e-320;
-    # pytest turns an escaping RuntimeWarning into an error
+    # at hbar_omega0 = 1e305 B is finite but gamma_e B is not, which the chain reports
+    # before the 6x6 meets it.  pytest turns an escaping RuntimeWarning into an error
     (tmp_path / "c.json").write_text(text)
-    assert main(["nmr", "--x", "1.0", "--config", str(tmp_path / "c.json")]) == 2
-    assert capsys.readouterr() == ("", "numerical failure: nmr result is not finite at x = 1.0\n")
+    for ir in ([], ["--ir"]):
+        assert main(["nmr", "--x", "1.0", "--config", str(tmp_path / "c.json")] + ir) == 2
+        assert capsys.readouterr() == (
+            "", "numerical failure: nmr result is not finite at x = 1.0\n")
 
 
 @pytest.mark.parametrize("config, x", [("{}", 5e-324), ('{"hbar_omega0": 5e-324}', 0.5)])

@@ -202,6 +202,25 @@ def test_finite_guard_names_an_arrays_first_failing_entry():
         require_finite_non_negative("v", values)
 
 
+@pytest.mark.parametrize("cfg", [DotConfig(), DotConfig(hbar_omega0=1e308, mstar_ratio=10.0)])
+@pytest.mark.parametrize("x", [0.0, 5e-324, 0.3, 1.0, 2.5, 1e300])
+def test_b_field_gives_a_float_and_arrays_the_same_bits_and_message(cfg, x):
+    # a float, a 0-d and a 1-D array take one route: the same B bitwise, or the same
+    # overflow message naming x (B overflows from x ~ 0.021 on the second device); an
+    # array's overflow warns, so its callers ignore it, as here, and report the error
+    got = []
+    for arg in (x, np.array(x), np.array([x])):
+        try:
+            with np.errstate(over="ignore"):
+                got.append(np.float64(np.ravel(b_field_from_ratio(cfg, arg))[0]).tobytes())
+        except FloatingPointError as exc:
+            got.append(str(exc))
+    assert got[0] == got[1] == got[2]
+    if isinstance(got[0], str):
+        assert got[0] == f"magnetic field is not finite at x = {x}"
+    assert type(b_field_from_ratio(DotConfig(), x)) is float
+
+
 def test_b_field_linear_in_x(default_cfg):
     for x in (0.1, 0.7, 2.3, 4.9):
         assert b_field_from_ratio(default_cfg, 2.0 * x) == pytest.approx(
