@@ -8,6 +8,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
+A UserWarning from the library (m_max too small, inconsistent gamma_e) prints, whatever the
+warning filters say, once per distinct message as "warning: <message>", with its count if
+it repeated, after the command and before any error line, without the file and line that
+Python's default form adds: those change with the checkout's path and with any edit above
+the call.  Other warnings, such as a numpy RuntimeWarning, pass through untouched, so they
+still show or, under an error filter, raise.
+
 Dispatch: when the first argument names a command, main parses the rest with that
 command's own parser and records the name as args.command; the top-level parser would give
 the same namespace, after classifying every argument and matching the subcommand pattern.
@@ -22,9 +29,11 @@ device-scan work_per_ref 0.0971 with the top-level parser only -> 0.1071 with it
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +254,28 @@ def _cmd_gate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _warnings_once():
+    """Count the UserWarnings raised inside by message, and print each once on leaving."""
+    counts: dict[str, int] = {}
+    show = warnings.showwarning
+
+    def count(message, category, *where):
+        if issubclass(category, UserWarning):
+            counts[str(message)] = counts.get(str(message), 0) + 1
+        else:
+            show(message, category, *where)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = count
+        try:
+            yield
+        finally:
+            for message, n in counts.items():
+                print(f"warning: {message}" + (f" ({n} times)" if n > 1 else ""), file=sys.stderr)
+
+
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "transitions": _cmd_transitions,
@@ -256,8 +287,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(argv)
-        return _COMMANDS[args.command](args)
+        with _warnings_once():
+            args = _parse(argv)
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -64,7 +64,7 @@ class DotConfig:
 
 
 CONFIG_FIELDS = tuple(f.name for f in fields(DotConfig))
-# The staircase takes time and memory linear in m_max (~0.2 s at this cap on a 2-vCPU
+# The staircase takes time and memory linear in m_max (~0.25 s at this cap on a 2-vCPU
 # VM), and no label from |m| = 1022 on couples to the nucleus (its 2^(1 + mu_m) overflows)
 M_MAX_LIMIT = 100_000
 # JSON types and their name in errors, by annotation text (annotations are postponed here)

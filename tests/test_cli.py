@@ -1,9 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dotnmr import (ConfigError, b_field_from_ratio, cli, ground_state_at, load_config,
@@ -174,9 +180,9 @@ def test_sweep_warns_where_a_label_above_an_even_m_max_takes_over(tmp_path, monk
     # label 17 takes over at x = 18.44
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.json").write_text('{"m_max": 16, "sweep": {"x_max": 30.0, "steps": 50}}')
-    with pytest.warns(UserWarning, match=r"m_max=16 from x=18\.43") as record:
-        assert main(["sweep", "--config", "c.json"]) == 0
-    assert len(record) == 1
+    assert main(["sweep", "--config", "c.json"]) == 0
+    assert re.fullmatch(r"warning: ground state at x=30\.0 lies above m_max=16 from x=18\.43\d* on; "
+                        r"increase m_max to trust this result\n", capsys.readouterr().err)
     with (tmp_path / "sweep.csv").open() as fh:
         assert list(csv.DictReader(fh))[-1]["m_abs"] == "15"
 
@@ -263,19 +269,21 @@ def test_sweep_guard_message_names_one_value_of_an_array(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("alpha_tilde", [2e6, 1e40])
 def test_huge_alpha_tilde_leaves_the_nucleus_uncoupled(tmp_path, monkeypatch, capsys, alpha_tilde):
-    # 2^(1 + mu_m) overflows from alpha_tilde ~ 1.05e6, and every mu_m rounds equal from ~4.5e15
+    # 2^(1 + mu_m) overflows from alpha_tilde ~ 1.05e6, and label 15 holds over the whole window
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.json").write_text(json.dumps({"alpha_tilde": alpha_tilde}))
+    out = ""
     for command in (["transitions"], ["nmr", "--x", "1.0"], ["nmr", "--x", "1.0", "--ir"],
                     ["sweep", "--steps", "50", "--svg"]):
-        with pytest.warns(UserWarning, match="m_max=15"):
-            assert main([*command, "--config", "c.json"]) == 0
+        assert main([*command, "--config", "c.json"]) == 0
+        captured = capsys.readouterr()
+        out += captured.out
+        assert re.fullmatch(r"warning: [^\n]*m_max=15 from x=[^\n]*\n", captured.err)
     with (tmp_path / "sweep.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert {row["m_abs"] for row in rows} == {"15"}
     assert all(float(row["a_mhz"]) == float(row["a_cm_mhz"]) == 0.0 for row in rows)
     assert all(abs(float(row["shift"])) < 1e-12 for row in rows)
-    out = capsys.readouterr().out
     assert out.count("A = 0 MHz") == 2
 
 
@@ -484,3 +492,43 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["dotnmr", "bogus"])
     assert main() == 1
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_cli_prints_each_user_warning_once_and_lets_runtime_warnings_escape(monkeypatch, capsys):
+    def command(args):
+        warnings.warn("m_max is too small")
+        warnings.warn("gamma_e is off")
+        warnings.warn("m_max is too small")
+        np.float64(1e308) * 10  # numpy warns: overflow encountered in scalar multiply
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "gate", command)
+    want = "warning: m_max is too small (2 times)\nwarning: gamma_e is off\n"
+    # tier-1 runs with warnings as errors, as CI's smoke step does for RuntimeWarning
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        main(["gate"])
+    assert capsys.readouterr() == ("", want)
+    with pytest.warns(RuntimeWarning, match="overflow") as record:
+        assert main(["gate"]) == 0
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert capsys.readouterr() == ("", want)
+
+
+def test_warning_lines_do_not_depend_on_where_the_checkout_lives(tmp_path):
+    # two copies of the package at different paths, the second with a line added above the
+    # call that warns: Python's default form would print each copy's path and line number
+    package = Path(cli.__file__).parent
+    errs = []
+    for root, edit in ((tmp_path / "a", ""), (tmp_path / "b" / "deeper", "    pass\n")):
+        shutil.copytree(package, root / "dotnmr", ignore=shutil.ignore_patterns("__pycache__"))
+        path, call = root / "dotnmr" / "cli.py", "    ground = ground_state_at(cfg, x)\n"
+        assert path.read_text().count(call) == 1
+        path.write_text(path.read_text().replace(call, edit + call))
+        run = subprocess.run(
+            [sys.executable, "-c", "from dotnmr.cli import entry; entry()", "nmr", "--x", "23.06"],
+            capture_output=True, text=True, cwd=tmp_path, check=True,
+            env={**os.environ, "PYTHONPATH": str(root), "PYTHONWARNINGS": "error::RuntimeWarning"})
+        errs.append(run.stderr)
+    assert errs[0] == errs[1] == (
+        "warning: ground state at x=23.06 lies above m_max=15 from x=18.43950929871187 on; "
+        "increase m_max to trust this result\n")

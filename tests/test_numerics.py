@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dotnmr import (
+    DotConfig,
     NonHermitianError,
     bracket_roots,
     evolve,
@@ -15,7 +16,7 @@ from dotnmr import (
 )
 from dotnmr import numerics
 from dotnmr.numerics import require_hermitian
-from dotnmr.spectrum import mu_m
+from dotnmr.spectrum import _crossing, mu_m
 
 
 def random_hermitian(rng, n):
@@ -454,9 +455,9 @@ def test_bracket_multiple_roots_sorted():
 
 
 def test_bracket_energy_difference_m1_vs_m3():
-    # oracle: sqrt(x^2+4) (mu3 - mu1) = 2x solves to x = 2k/sqrt(4-k^2)
+    # oracle: the closed-form root of sqrt(x^2+4) (mu3 - mu1) = 2x, the staircase's 1 -> 3 crossing
     k = mu_m(3, 3.0) - mu_m(1, 3.0)
-    x_star = 2.0 * k / math.sqrt(4.0 - k * k)
+    x_star = _crossing(DotConfig(alpha_tilde=3.0), mu_m(np.arange(4), 3.0).tolist(), 1, 3)
 
     def gap(x):
         return math.sqrt(x * x + 4.0) * k - 2.0 * x

@@ -19,21 +19,35 @@ from dotnmr import (
     validate_config,
 )
 from dotnmr.config import require_non_negative
-from dotnmr.spectrum import _staircase, ground_m_abs, spin_for_m
+from dotnmr.spectrum import _crossing, _staircase, ground_m_abs, spin_for_m
 
 
-def boundary_singlet_triplet(zeeman_slope: float, alpha_tilde: float = 3.0) -> float:
-    """Closed-form (0,0)->(1,1) crossing: sqrt(x^2+4) (mu1-mu0) = x (1 + 2 z)."""
-    k = mu_m(1, alpha_tilde) - mu_m(0, alpha_tilde)
-    w = 1.0 + 2.0 * zeeman_slope
-    return 2.0 * k / math.sqrt(w * w - k * k)
+def exact_mu(m_abs: int, alpha_tilde: float):
+    """mu_m from the float alpha_tilde at mpmath's working precision."""
+    return mpmath.sqrt(m_abs * m_abs + mpmath.mpf(alpha_tilde))
 
 
-def boundary_triplet_triplet(m_from: int, m_to: int, alpha_tilde: float = 3.0) -> float:
-    """Closed-form triplet crossing: sqrt(x^2+4) (mu' - mu) = (m' - m) x."""
-    k = mu_m(m_to, alpha_tilde) - mu_m(m_from, alpha_tilde)
-    d = m_to - m_from
-    return 2.0 * k / math.sqrt(d * d - k * k)
+def exact_crossing(cfg, a: int, b: int):
+    """The reference crossing of labels a < b from the exact mu_m at 50 digits, and its k.
+
+    sqrt(x^2+4) (mu_b - mu_a) = x d, d = d|m| + z dS with the float z = g m*/m_e,
+    solves to x* = 2 dmu / sqrt(d^2 - dmu^2) where k = d / dmu > 1 (inf elsewhere);
+    dmu = (b^2 - a^2) / (mu_a + mu_b) keeps 50 digits at any alpha_tilde.
+    """
+    with mpmath.workdps(50):
+        d_mu = (b * b - a * a) / (exact_mu(a, cfg.alpha_tilde) + exact_mu(b, cfg.alpha_tilde))
+        d = b - a + mpmath.mpf(cfg.g_factor * cfg.mstar_ratio) * (spin_for_m(b) - spin_for_m(a))
+        k = d / d_mu
+        return (2 * d_mu / mpmath.sqrt(d * d - d_mu * d_mu) if k > 1 else mpmath.inf), k
+
+
+def assert_crossing_within(x_star: float, want, k, ulps: float):
+    """x_star lies within ulps * k^2/(k^2 - 1) ulp of the reference want (k^2/(k^2 - 1): x*'s
+    conditioning in d - dmu)."""
+    want = float(want)
+    with mpmath.workdps(50):
+        bound = float(ulps * k * k / (k * k - 1))
+    assert abs(x_star - want) <= bound * math.ulp(want), (x_star, want, bound)
 
 
 def rel_ground_energy(m_abs: int, alpha_tilde: float, x):
@@ -53,10 +67,11 @@ def total_ground_energy(m_abs: int, s_total: int, cfg, x):
     return energy - 0.5 * cfg.g_factor * cfg.mstar_ratio * x if s_total == 1 else energy
 
 
-# with m*/m_e = 0.19 and alpha_tilde = 3 this g_factor makes (1,1), (2,0) and (3,1)
-# cross at one x = 2.1491..., where g m*/m_e = (d23 - d12) / (d12 + d23) and
-# d_ab = mu_b - mu_a; the rounded (2,0) -> (3,1) crossing equals the (1,1) -> (2,0) one
-TRIPLE_G = 0.6204594976771666
+# with m*/m_e = 0.19 and alpha_tilde = 2.5 this g_factor makes (1,1), (2,0) and (3,1)
+# cross at one x = 2.33996..., where g m*/m_e = (d23 - d12) / (d12 + d23) and
+# d_ab = mu_b - mu_a: the float just below the nearest to that g at 50 digits, at which the
+# 1 -> 2, 2 -> 3 and 1 -> 3 crossings round to one float (at alpha_tilde = 3 no float g does)
+TRIPLE_ALPHA, TRIPLE_G = 2.5, 0.5641901713746585
 
 
 def argmin_ground_m(cfg, x):
@@ -76,33 +91,26 @@ def walk_staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The reference for _staircase's stack pass: a walk along the lower envelope
     from x = 0, at each label taking the smallest crossing ahead over every
-    larger |m| (quadratic in m_max).
+    larger |m| (quadratic in m_max).  Each crossing is spectrum._crossing's, the
+    one crossing expression, x* = 2 dmu / (sqrt(d - dmu) sqrt(d + dmu)) with
+    dmu = (b^2 - a^2) / (mu_a + mu_b), d = d|m| + g m*/m_e dS and d - dmu formed
+    without cancellation, inf where d <= dmu; the tests check that expression
+    against mpmath, and this walk checks the pass around it bitwise.
 
     labels[i] is the ground-state |m| from crossings[i - 1] to crossings[i]; the
-    first holds from x = 0, where (0, 0) always wins, the last up to inf.  A
-    label b above the current a crosses it at most once, at the root of
-    sqrt(x^2+4) (mu_b - mu_a) = x (d|m| + g m*/m_e dS), and never when k <= 1:
-
-        x* = 2 / sqrt(k^2 - 1),   k = (d|m| + g m*/m_e dS) / (mu_b - mu_a).
-
+    first holds from x = 0, where (0, 0) always wins, the last up to inf.
     Smaller |m| never return, so the next crossing is the smallest x* ahead: one
     behind x can only be a crossing of three or more labels at x, seen through
     rounding, and it moves the walk on at x without a window.
     """
-    zeeman_slope = cfg.g_factor * cfg.mstar_ratio
-    require_non_negative("g_factor * mstar_ratio", zeeman_slope)
+    require_non_negative("g_factor * mstar_ratio", cfg.g_factor * cfg.mstar_ratio)
     mu = mu_m(np.arange(cfg.m_max + 1), cfg.alpha_tilde).tolist()
-    spin = [spin_for_m(m) for m in range(cfg.m_max + 1)]
     x, a, crossings, labels = 0.0, 0, [], [0]
     while a < cfg.m_max:
         next_x, next_b = math.inf, None
         for b in range(a + 1, cfg.m_max + 1):
-            d_slope, d_mu = b - a + zeeman_slope * (spin[b] - spin[a]), mu[b] - mu[a]
-            # mu_b == mu_a once alpha_tilde swamps m^2 (~4.5e15): b then undercuts a at
-            # every x > 0 (k = +inf, x* = 0) if its slope is steeper, and never if not
-            k = d_slope / d_mu if d_mu else (math.inf if d_slope > 0 else -math.inf)
             # strict < keeps the smaller |m| on a tie
-            if k > 1.0 and (x_b := 2.0 / math.sqrt(k * k - 1.0)) < next_x:
+            if (x_b := _crossing(cfg, mu, a, b)) < next_x:
                 next_x, next_b = x_b, b
         if next_b is None:
             break
@@ -143,9 +151,9 @@ def test_mu_m_rejects_negative():
             mu_m(1, alpha)
 
 
-def test_effective_omega_ratio():
+def test_effective_omega_ratio(default_cfg):
     assert effective_omega_ratio(0.0) == 2.0
-    x2 = boundary_triplet_triplet(1, 3)
+    x2 = float(exact_crossing(default_cfg, 1, 3)[0])
     assert effective_omega_ratio(x2) == pytest.approx(math.sqrt(x2 * x2 + 4.0), rel=0)
     assert round(effective_omega_ratio(x2), 5) == 2.93578
     grid = [0.1 * i for i in range(60)]
@@ -159,8 +167,8 @@ def test_rel_ground_energy_at_zero_field():
     assert rel_ground_energy(1, 3.0, 0.0) == pytest.approx(3.0, rel=1e-15)
 
 
-def test_rel_energy_degeneracy_at_triplet_boundary():
-    x2 = boundary_triplet_triplet(1, 3)
+def test_rel_energy_degeneracy_at_triplet_boundary(default_cfg):
+    x2 = float(exact_crossing(default_cfg, 1, 3)[0])
     assert abs(rel_ground_energy(1, 3.0, x2) - rel_ground_energy(3, 3.0, x2)) <= 1e-12
     # the nearby round-number value is degenerate to ~3e-5
     assert abs(rel_ground_energy(1, 3.0, 2.14908) - rel_ground_energy(3, 3.0, 2.14908)) <= 1e-4
@@ -207,47 +215,49 @@ def test_magic_transitions_default_window(default_cfg):
         ((1, 1), (3, 1)),
         ((3, 1), (5, 1)),
     ]
-    expected = [
-        boundary_singlet_triplet(0.19),
-        boundary_triplet_triplet(1, 3),
-        boundary_triplet_triplet(3, 5),
-    ]
-    for point, x_star in zip(points, expected):
-        assert abs(point.x_star - x_star) <= 1e-8
+    for point, (a, b) in zip(points, [(0, 1), (1, 3), (3, 5)]):
+        assert abs(point.x_star - exact_crossing(default_cfg, a, b)[0]) <= 1e-8
 
 
 def test_magic_transitions_zero_g_variant():
     cfg = validate_config(DotConfig(g_factor=0.0, gamma_e=28024.95))
     points = magic_transitions(cfg, 0.0, 1.0)
     assert len(points) == 1
-    assert abs(points[0].x_star - boundary_singlet_triplet(0.0)) <= 1e-8
+    assert abs(points[0].x_star - exact_crossing(cfg, 0, 1)[0]) <= 1e-8
     assert round(points[0].x_star, 5) == 0.55624
 
 
 def test_crossing_is_derived_symbolically(default_cfg):
-    # two labels cross where sqrt(x^2+4) dmu = x dp, with k = dp/dmu; k = 1 + u, u > 0
+    # two labels cross where sqrt(x^2+4) dmu = x d, with d = k dmu; k = 1 + u, u > 0
     x, dmu, u = sympy.symbols("x Delta_mu u", positive=True)
-    k = 1 + u
-    (root,) = sympy.solve(sympy.sqrt(x**2 + 4) * dmu - x * k * dmu, x)
-    assert sympy.simplify(root - 2 / sympy.sqrt(k**2 - 1)) == 0
-    assert sympy.simplify(root / sympy.sqrt(sympy.factor(root**2 + 4)) - 1 / k) == 0  # t* = 1/k
-    # and no crossing at x > 0 where k <= 1
-    assert sympy.solve(sympy.sqrt(x**2 + 4) * dmu - x * dmu / k, x) == []
-    # evaluated at 50 digits from the staircase's own floats mu_m and z = g m*/m_e, as the
-    # shift oracle takes the sweep's float A and B: from the exact mu, their roundings,
-    # amplified by dmu and k^2 - 1, put the 3 -> 5 crossing 11 ulp away
-    x_star = sympy.lambdify(u, root, "mpmath")
+    d = (1 + u) * dmu
+    (root,) = sympy.solve(sympy.sqrt(x**2 + 4) * dmu - x * d, x)
+    assert sympy.simplify(root - 2 * dmu / (sympy.sqrt(d - dmu) * sympy.sqrt(d + dmu))) == 0
+    assert sympy.simplify(root / sympy.sqrt(sympy.factor(root**2 + 4)) - dmu / d) == 0  # t* = 1/k
+    # and no crossing at x > 0 where d <= dmu
+    assert sympy.solve(sympy.sqrt(x**2 + 4) * dmu - x * dmu / (1 + u), x) == []
+    # mu_b - mu_a without the difference: (b^2 - a^2) / (mu_a + mu_b)
+    a, b, alpha = sympy.symbols("a b alpha", positive=True)
+    mu_a, mu_b = sympy.sqrt(a**2 + alpha), sympy.sqrt(b**2 + alpha)
+    assert sympy.expand((mu_b - mu_a) * (mu_a + mu_b)) == b**2 - a**2
+    # and d - dmu without it: z dS + (b - a)(eps_a + eps_b)/(mu_a + mu_b), eps_m = mu_m - m
+    z_ds = sympy.Symbol("z_dS", real=True)
+    eps_a, eps_b = alpha / (mu_a + a), alpha / (mu_b + b)
+    assert sympy.simplify(eps_a - (mu_a - a)) == 0
+    gap = z_ds + (b - a) * (eps_a + eps_b) / (mu_a + mu_b)
+    assert sympy.simplify(gap - (b - a + z_ds - (b**2 - a**2) / (mu_a + mu_b))) == 0
+    # evaluated at 50 digits from the exact mu_m and the float z = g m*/m_e
+    x_star = sympy.lambdify((dmu, u), root, "mpmath")
     cfg = default_cfg
-    z = cfg.g_factor * cfg.mstar_ratio
     points = magic_transitions(cfg, 0.0, 5.0)
     assert [(p.from_state[0], p.to_state[0]) for p in points] == [(0, 1), (1, 3), (3, 5)]
     for p in points:
-        (m_a, s_a), (m_b, s_b) = p.from_state, p.to_state
-        mu_a, mu_b = mu_m(np.array([m_a, m_b]), cfg.alpha_tilde).tolist()
+        m_a, m_b = p.from_state[0], p.to_state[0]
+        want, k = exact_crossing(cfg, m_a, m_b)
         with mpmath.workdps(50):
-            k_exact = (m_b - m_a + mpmath.mpf(z) * (s_b - s_a)) / (mpmath.mpf(mu_b) - mu_a)
-            want = float(x_star(k_exact - 1))
-        assert abs(p.x_star - want) <= 4 * math.ulp(want)
+            d_mu = exact_mu(m_b, cfg.alpha_tilde) - exact_mu(m_a, cfg.alpha_tilde)
+            assert abs(x_star(d_mu, k - 1) / want - 1) < mpmath.mpf(10) ** -45
+        assert abs(p.x_star - float(want)) <= 4 * math.ulp(float(want))
 
 
 def test_magic_transitions_empty_window(default_cfg):
@@ -330,7 +340,7 @@ def test_label_sequence_matches_magic_numbers(default_cfg):
     span=st.floats(0.1, 8.0),
 )
 # three labels cross at one x here, which a walk must report once
-@example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10, x_lo=2.0, span=1.0)
+@example(g=TRIPLE_G, mstar=0.19, alpha=TRIPLE_ALPHA, m_max=10, x_lo=2.0, span=1.0)
 def test_envelope_walk_matches_ground_state_scan(g, mstar, alpha, m_max, x_lo, span):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     x_hi = x_lo + span
@@ -389,8 +399,8 @@ def test_magic_transitions_warns_once_at_m_max():
     m_max=st.integers(5, 25),
     xs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=50),
 )
-# the walk once skipped (3,1) past this triple crossing, leaving (2,0) up to x = 3.21
-@example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10, xs=[2.5, 3.0])
+# three labels cross at one x here; past such a crossing the walk once skipped (3,1)
+@example(g=TRIPLE_G, mstar=0.19, alpha=TRIPLE_ALPHA, m_max=10, xs=[2.5, 3.0])
 def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     crossings, _, _ = _staircase(cfg)
@@ -402,7 +412,13 @@ def test_staircase_labels_match_energy_argmin(g, mstar, alpha, m_max, xs):
 
 
 def test_staircase_passes_a_triple_crossing_without_a_window():
-    cfg = DotConfig(g_factor=TRIPLE_G, mstar_ratio=0.19, alpha_tilde=3.0, m_max=10)
+    with mpmath.workdps(50):
+        d12, d23 = (exact_mu(b, TRIPLE_ALPHA) - exact_mu(b - 1, TRIPLE_ALPHA) for b in (2, 3))
+        nearest = float((d23 - d12) / (d12 + d23) / mpmath.mpf(0.19))
+    assert TRIPLE_G == np.nextafter(nearest, 0.0)
+    cfg = DotConfig(g_factor=TRIPLE_G, mstar_ratio=0.19, alpha_tilde=TRIPLE_ALPHA, m_max=10)
+    mu = mu_m(np.arange(4), TRIPLE_ALPHA).tolist()
+    assert _crossing(cfg, mu, 1, 2) == _crossing(cfg, mu, 2, 3) == _crossing(cfg, mu, 1, 3)
     crossings, labels, _ = _staircase(cfg)
     assert labels.tolist() == [0, 1, 3, 5, 7, 9]
     assert np.all(np.diff(crossings) > 0)
@@ -461,17 +477,44 @@ def test_staircase_rejects_a_nan_config_value_by_name(field):
 
 
 @pytest.mark.parametrize("g, m_max, ground", [(2.0, 15, 15), (10.0, 16, 15)])
-def test_equal_mu_labels_cross_at_zero_or_never(g, m_max, ground):
-    # at alpha_tilde = 1e40 every mu_m rounds to 1e20, so E_b - E_a = -x/2 (d|m| + g m* dS):
-    # b undercuts a at every x > 0 when that slope is positive, and never when it is not
-    # (g m* = 1.9 keeps an odd |m| below the even |m| + 1 above it)
+def test_labels_whose_mu_m_round_equal_cross_where_the_exact_mu_m_do(g, m_max, ground):
+    # at alpha_tilde = 1e40 every mu_m rounds to 1e20, but mu_b - mu_a = (b^2 - a^2) / (mu_a + mu_b)
+    # does not: label 1 takes over from 0 at ~1e-20 / (1 + g m*), then each odd label from the
+    # one below every 4e-20 (g m* = 0.38 and 1.9 both keep an odd |m| below the even |m| + 1)
     cfg = DotConfig(alpha_tilde=1e40, g_factor=g, mstar_ratio=0.19, m_max=m_max)
-    crossings, labels, _ = _staircase(cfg)
-    assert crossings.tolist() == [] and labels.tolist() == [ground]
-    assert ground_m_abs(cfg, np.array([1e-300, 1.0, 5.0])).tolist() == [ground] * 3
+    crossings, labels, x_trust = _staircase(cfg)
+    assert labels.tolist() == [0, *range(1, ground + 1, 2)]
+    assert 1e-21 < crossings[0] < 1e-20 and crossings[-1] < x_trust < 1e-18
+    for a, b, x_star in zip(labels, labels[1:], crossings):
+        assert_crossing_within(x_star, *exact_crossing(cfg, a, b), ulps=3)
+    assert ground_m_abs(cfg, np.array([1e-300, 2e-20, 1.0, 5.0])).tolist() == [0, 1, ground, ground]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a label above m_max takes over at x = 0
+        warnings.simplefilter("ignore")  # label 17 takes over at x_trust = 3.2e-19
         assert magic_transitions(cfg, 1e-6, 5.0) == []
+
+
+def test_a_huge_alpha_tilde_holds_label_0_up_to_its_first_crossing():
+    # mu_1 - mu_0 = 1.6e-9 at alpha_tilde = 1e17, where mu_m's ulp is 1.5e-8: from the rounded
+    # difference the staircase started at |m| = 6
+    cfg = validate_config(DotConfig(alpha_tilde=1e17))
+    assert ground_state_at(cfg, 1e-9).m_abs == 0
+    crossings, labels, _ = _staircase(cfg)
+    assert labels[:4].tolist() == [0, 1, 3, 5]
+    assert_crossing_within(crossings[0], *exact_crossing(cfg, 0, 1), ulps=3)
+
+
+def test_a_huge_zeeman_slope_keeps_label_0():
+    # d = 1 + g m*/m_e = 1e160 squares past the float range; each square root alone does not
+    cfg = DotConfig(g_factor=1e160, mstar_ratio=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma_e disagrees with this g_factor
+        validate_config(cfg)
+    crossings, labels, _ = _staircase(cfg)
+    assert labels[:3].tolist() == [0, 1, 3]
+    want, k = exact_crossing(cfg, 0, 1)
+    assert f"{float(want):.5e}" == "5.35898e-161"
+    assert_crossing_within(crossings[0], want, k, ulps=3)
+    assert ground_m_abs(cfg, np.array([5e-161, 6e-161])).tolist() == [0, 1]
 
 
 # alpha_tilde from 0 through the ~1e16 where neighbouring mu_m round equal or an ulp
@@ -483,11 +526,20 @@ ALPHA_TILDES = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e15, 1e17
 @settings(max_examples=300, deadline=None)
 @given(g=st.floats(0.0, 30.0), mstar=st.floats(0.01, 1.0), alpha=ALPHA_TILDES,
        m_max=st.integers(5, 60))
-@example(g=TRIPLE_G, mstar=0.19, alpha=3.0, m_max=10)
+@example(g=TRIPLE_G, mstar=0.19, alpha=TRIPLE_ALPHA, m_max=10)
 @example(g=2.0, mstar=0.19, alpha=1e40, m_max=15)
 @example(g=10.0, mstar=0.19, alpha=1e40, m_max=16)
-# mu_1 rounds to mu_0 here, so label 1 replaces label 0 at x = 0
+# mu_1 rounds to mu_0 here; label 1 takes over from 0 at x = 8.7e-9
 @example(g=1.8722154568906961, mstar=0.18893532221650913, alpha=7184623333950467.0, m_max=19)
+# every k is within ~1e-13 of 1 at such an alpha_tilde: crossings from a plain d - dmu lost
+# all their digits, and the walk and the pass parted
+@example(g=0.0, mstar=1.0, alpha=1e-12, m_max=28)
+@example(g=0.5, mstar=0.1, alpha=3.26030291104947e-13, m_max=39)
+# z = 0.025 = 1/(2*18 + 4) puts 19, 20 and 21 within rounding of one x = 40/sqrt(alpha_tilde),
+# where a pass that set b's crossing with the top against the top's start parted from the walk
+@example(g=2.5, mstar=0.01, alpha=6.876980490053638e16, m_max=21)
+# and likewise 1, 2 and 3 at z = 0.25
+@example(g=0.5, mstar=0.5, alpha=5039495173366100.0, m_max=5)
 def test_stack_pass_equals_the_walk_bitwise(g, mstar, alpha, m_max):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     crossings, labels, _ = _staircase(cfg)
@@ -508,16 +560,13 @@ def walk_x_trust(cfg, labels_beyond: int) -> float:
 
 
 @settings(max_examples=25, deadline=None)
-@given(g=st.floats(0.0, 30.0), mstar=st.floats(0.01, 1.0),
-       alpha=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e15)),
+@given(g=st.floats(0.0, 30.0), mstar=st.floats(0.01, 1.0), alpha=ALPHA_TILDES,
        m_max=st.integers(5, 60))
 @example(g=2.0, mstar=0.19, alpha=3.0, m_max=15)
+@example(g=2.0, mstar=0.19, alpha=1e17, m_max=15)
 @example(g=2.0, mstar=0.19, alpha=1e40, m_max=15)
 @example(g=10.0, mstar=0.19, alpha=1e40, m_max=16)
 def test_two_labels_beyond_m_max_give_x_trust(g, mstar, alpha, m_max):
-    # _staircase's convexity argument holds for the rounded mu_m while its ulp stays
-    # below its second difference in |m|; from alpha_tilde ~ 1e16 on it may not, and
-    # x_trust (then below 1e-6) can come out later than the first takeover
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     assert _staircase(cfg)[2] == walk_x_trust(cfg, 2) == walk_x_trust(cfg, 300)
 
@@ -557,3 +606,59 @@ def test_a_3000_label_staircase_builds_in_milliseconds():
     start = time.perf_counter()
     magic_transitions(cfg, 0.05, 5.0)
     assert time.perf_counter() - start < 0.1
+
+
+def exact_ground_m(cfg, xs) -> list[int]:
+    """mpmath's argmin of the energy over |m| <= m_max at each x, ties to the smaller |m|.
+
+    Over sqrt(x^2+4)/2 and less label 0's, label m's energy is
+    m^2/(mu_m + mu_0) - t (m + z S), t = x / sqrt(x^2+4): no difference of mu_m cancels,
+    and the digits grow with log10 z, which the odd labels share.
+    """
+    z = cfg.g_factor * cfg.mstar_ratio
+    with mpmath.workdps(50 + max(0, math.ceil(math.log10(z or 1)))):
+        mu_0 = exact_mu(0, cfg.alpha_tilde)
+        rise = [m * m / (exact_mu(m, cfg.alpha_tilde) + mu_0) if m else mpmath.mpf(0)
+                for m in range(cfg.m_max + 1)]
+        slope = [m + mpmath.mpf(z) * spin_for_m(m) for m in range(cfg.m_max + 1)]
+        grounds = []
+        for x in xs:
+            t = mpmath.mpf(x) / mpmath.sqrt(mpmath.mpf(x) ** 2 + 4)
+            energy = [r - t * s for r, s in zip(rise, slope)]
+            grounds.append(min(range(cfg.m_max + 1), key=energy.__getitem__))
+    return grounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
+       z=st.one_of(st.just(0.0), st.floats(-3.0, 200.0).map(lambda e: 10.0**e)),
+       m_max=st.integers(5, 60))
+# from rounded mu_m differences the first held |m| = 6 from x = 0, and the second lost
+# label 0 to an overflowing d^2
+@example(alpha=1e17, z=0.38, m_max=15)
+@example(alpha=3.0, z=1e160, m_max=15)
+# x* underflows to 0 here (exactly 1e-350), and label 1 replaces label 0 at x = 0
+@example(alpha=1e300, z=1e200, m_max=5)
+# odd label 5 and even label 6 nearly tie here, so d - dmu must come from b - a + z dS first
+@example(alpha=1e17, z=0.99, m_max=6)
+# and here every k is near 1, so it must come from mu_m - m = alpha_tilde / (mu_m + m)
+@example(alpha=1e-12, z=0.0, m_max=28)
+@example(alpha=1e22, z=0.01, m_max=50)
+def test_staircase_matches_mpmath_over_the_accepted_range(alpha, z, m_max):
+    # a differential test against the exact mu_m over alpha_tilde and z = g m*/m_e up to
+    # where validate_config still accepts them: every crossing within 8 k^2/(k^2 - 1) ulp,
+    # and the label of every window up to x_trust mpmath's ground state at its midpoint, the
+    # first window's also at the smallest positive x, unless its crossing rounds to that x
+    cfg = DotConfig(alpha_tilde=alpha, g_factor=z, mstar_ratio=1.0, m_max=m_max)
+    crossings, labels, x_trust = _staircase(cfg)
+    for a, b, x_star in zip(labels, labels[1:], crossings):
+        assert_crossing_within(x_star, *exact_crossing(cfg, a, b), ulps=8)
+    # (windows cut at x_trust, which can fall an ulp before the last crossing, as at
+    # alpha_tilde = 1e22, z = 0.01, m_max = 50, where 49, 50 and 51 cross within rounding)
+    edges = [0.0, *crossings.tolist(), math.inf]
+    windows = [(lo, min(hi, x_trust)) for lo, hi in zip(edges, edges[1:])]
+    held = [(m, 0.5 * lo + 0.5 * hi) for m, (lo, hi) in zip(labels.tolist(), windows)
+            if lo < hi < math.inf]
+    if windows[0][1] > math.ulp(0.0):
+        held.append((labels[0], math.ulp(0.0)))
+    assert exact_ground_m(cfg, [x for _, x in held]) == [m for m, _ in held]

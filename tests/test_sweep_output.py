@@ -362,6 +362,9 @@ def scalar_sweep_row(cfg, x):
          steps=2)
 @example(g=0.0, mstar=0.5, alpha=1.33384671841697, c=0.0, m_max=5, window="singlet",
          lo=0.125, span=50.0, steps=2)
+# and this one puts it at 1.9e155, past where x^2 overflows
+@example(g=0.0, mstar=0.5, alpha=2.225073858507203e-309, c=0.0, m_max=5, window="top", lo=1.0,
+         span=1.0, steps=2)
 def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, window, lo,
                                                     span, steps):
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, hyperfine_c=c,
@@ -379,6 +382,10 @@ def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, w
         else:  # past the last boundary, up to the top label
             last = edges[-1] if edges else 1.0
             x_lo, x_hi = lo * last, last * (1.0 + span)
+        if not math.isfinite(x_hi * x_hi):  # no energy is finite there: the sweep names x
+            with pytest.raises(FloatingPointError, match="not finite at x"):
+                run_sweep(cfg, x_lo, x_hi, steps)
+            return
         sweep = run_sweep(cfg, x_lo, x_hi, steps)
         expected = np.array([scalar_sweep_row(cfg, x) for x in sweep.x.tolist()], dtype=float)
         shifts = np.array([[relative_shift(cfg, x, ir) for ir in (False, True)]
