@@ -85,13 +85,15 @@ class TransitionPoint(NamedTuple):
 def _crossing(cfg: DotConfig, mu: list[float], a: int, b: int) -> float:
     """x* where label b > a undercuts label a, inf if it never does (see _staircase).
 
-    mu holds mu_m by |m|.
+    mu holds mu_m by |m|.  An x* whose square overflows (above ~1.34e154) reads as
+    inf too: no energy is finite there (see ground_m_abs), so no ground state either.
     """
     z_ds, mu_ab = cfg.g_factor * cfg.mstar_ratio * (spin_for_m(b) - spin_for_m(a)), mu[a] + mu[b]
     # eps = mu_a - a + mu_b - b; mu_a + a is 0 only where eps_a = mu_0 = alpha_tilde = 0
     d_mu, eps = (b * b - a * a) / mu_ab, cfg.alpha_tilde * (1 / (mu[a] + a or 1) + 1 / (mu[b] + b))
     gap = b - a + z_ds - d_mu if 2.0 * d_mu < b - a else z_ds + (b - a) * eps / mu_ab
-    return 2.0 * d_mu / (math.sqrt(gap) * math.sqrt(gap + 2.0 * d_mu)) if gap > 0 else math.inf
+    x_star = 2.0 * d_mu / (math.sqrt(gap) * math.sqrt(gap + 2.0 * d_mu)) if gap > 0 else math.inf
+    return x_star if math.isfinite(x_star * x_star) else math.inf
 
 
 # An entry holds two arrays of at most m_max + 1 entries, a float and its
@@ -110,7 +112,7 @@ def _staircase(cfg: DotConfig) -> tuple[np.ndarray, np.ndarray, float]:
     in [0, 1), z = g m*/m_e, so the staircase is the lower envelope of these
     lines, and a label b above a crosses a at most once, at the root of
     sqrt(x^2+4) dmu = x d, dmu = mu_b - mu_a and d = d|m| + z dS, and never
-    when d <= dmu:
+    when d <= dmu (nor, as read here, above ~1.34e154, where x^2 overflows):
 
         x* = 2 dmu / (sqrt(d - dmu) sqrt(d + dmu)),   dmu = (b^2 - a^2) / (mu_a + mu_b).
 

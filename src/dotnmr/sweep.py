@@ -26,6 +26,10 @@ from .hyperfine import delta_cm, delta_m
 from .spectrum import ground_m_abs, ground_state_at, mu_m, spin_for_m
 from .spin_hamiltonian import _resonance_chain
 
+# A 100k-row CLI sweep with SVG peaks at ~59 MB RSS (2-vCPU VM), so by linear scaling a sweep
+# at this cap stays near 1.2 GB, under ~2 GB
+STEPS_LIMIT = 2_000_000
+
 
 class Sweep(NamedTuple):
     """Sweep columns, one array entry per grid point; field order is the CSV order."""
@@ -85,14 +89,14 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
 def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
     """Uniform inclusive grid of sweep columns, deterministic for fixed inputs.
 
-    steps must be an int or a numpy integer (not a bool).  Raises
+    steps must be an int or a numpy integer (not a bool) in [2, STEPS_LIMIT].  Raises
     FloatingPointError naming the first x whose row is not finite, and warns
     once when the window reaches past the x where a label above m_max takes over.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise ConfigError(f"steps must be an integer, got {steps!r}")
-    if steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {steps}")
+    if not 2 <= steps <= STEPS_LIMIT:  # before the grid is allocated
+        raise ConfigError(f"steps must be in [2, {STEPS_LIMIT}], got {steps}")
     if not x_min > 0:
         raise ConfigError(f"x_min must be > 0 (the bare Larmor f0 vanishes at B=0), got {x_min}")
     if not x_min < x_max:

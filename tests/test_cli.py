@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from dotnmr import (ConfigError, b_field_from_ratio, cli, ground_state_at, load_
                     magic_transitions, nuclear_larmor_mhz, relative_shift, run_sweep)
 from dotnmr.cli import main
 from dotnmr.spectrum import _staircase
+from dotnmr.sweep import STEPS_LIMIT
 
 
 def sha256_of(path) -> str:
@@ -72,13 +74,18 @@ def test_transitions_empty_window(capsys):
 
 
 def test_nmr_triplet_point(capsys):
-    assert main(["nmr", "--x", "1.0"]) == 0
-    out = capsys.readouterr().out
-    assert "(1, 1)" in out
-    assert "f_nmr (numeric)" in out
-    numeric = float(re.search(r"f_nmr \(numeric\) = ([0-9.]+)", out).group(1))
-    closed = float(re.search(r"f_nmr \(closed\)  = ([0-9.]+)", out).group(1))
-    assert numeric == pytest.approx(closed, rel=1e-9)
+    # |Psi> takes the sign of its largest entry, so c1 > 0 > c2 whatever signs LAPACK returns
+    for flags, label in ((["--x", "1.0"], "(1, 1)"), (["--x", "0.45"], "(1, 1)"),
+                         (["--x", "2.5", "--ir"], "(3, 1)")):
+        assert main(["nmr", *flags]) == 0
+        out = capsys.readouterr().out
+        assert f"ground state (|m|,S) = {label}" in out
+        assert "f_nmr (numeric)" in out
+        numeric = float(re.search(r"f_nmr \(numeric\) = ([0-9.]+)", out).group(1))
+        closed = float(re.search(r"f_nmr \(closed\)  = ([0-9.]+)", out).group(1))
+        assert numeric == pytest.approx(closed, rel=1e-9)
+        c1, c2 = map(float, re.search(r"^mixing: c1 = ([^,]+), c2 = (\S+)$", out, re.M).groups())
+        assert c1 > 0 > c2
 
 
 def test_nmr_singlet_point(capsys):
@@ -102,11 +109,17 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert "wrote 40 rows" in capsys.readouterr().out
 
 
-def test_exit_code_for_config_error(tmp_path, capsys):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"hbar_omega0": -2.0}))
-    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
-    assert "config error" in capsys.readouterr().err
+def test_exit_code_for_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # sweep writes into the working directory
+    for command, text, message in (
+        ("sweep", '{"hbar_omega0": -2.0}', "hbar_omega0 must be > 0, got -2.0"),
+        ("transitions", '{"m_max": 15.5}', "m_max must be an integer, got 15.5"),
+        ("sweep", '{"sweep": {"x_max": 1e999}}', "sweep.x_max must be finite, got inf"),
+    ):
+        (tmp_path / "bad.json").write_text(text)
+        assert main([command, "--config", "bad.json"]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_non_utf8_config_exits_1_naming_the_file(tmp_path, capsys):
@@ -175,6 +188,23 @@ def test_a_huge_m_max_exits_1_before_building_anything(tmp_path, monkeypatch, ca
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("steps", [STEPS_LIMIT + 1, 10**18, 10**20])
+def test_a_huge_step_count_exits_1_before_allocating_the_grid(tmp_path, monkeypatch, capsys,
+                                                             steps):
+    # uncapped, np.arange raises numpy's MemoryError at 10**18 and ValueError at 10**20
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--steps", str(steps)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a grid of STEPS_LIMIT + 1 floats alone takes 16 MB
+    assert capsys.readouterr() == (
+        "", f"config error: steps must be in [2, {STEPS_LIMIT}], got {steps}\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_warns_where_a_label_above_an_even_m_max_takes_over(tmp_path, monkeypatch, capsys):
     # no even label above 0 wins for the default device, so the labels stop at 15 while
     # label 17 takes over at x = 18.44
@@ -228,6 +258,10 @@ def test_entry_points_agree_where_f0_underflows(tmp_path, capsys, config, x):
     assert nuclear_larmor_mhz(cfg, b_field_from_ratio(cfg, x)) == 0.0
     with pytest.raises(FloatingPointError, match=rf"^sweep row is not finite at x = {x}$"):
         run_sweep(cfg, x, 1.0, 3)
+    assert main(["sweep", "--x-min", repr(x), "--x-max", "1", "--steps", "3", "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"numerical failure: sweep row is not finite at x = {x}\n")
+    assert not (tmp_path / "out").exists()
     for ir in (False, True):
         with pytest.raises(FloatingPointError, match=rf"^relative shift is not finite at x = {x}$"):
             relative_shift(cfg, x, ir_excited=ir)
@@ -424,6 +458,7 @@ _ARGV_TABLE = [
     ["nmr", "--x", "0.45", "--", "extra"],
     ["nmr", "--", "--x", "0.45"],
     ["nmr", "-h"],
+    ["nmr", "--help"],
     ["nmr", "--help", "--bogus"],
     ["nmr", "nmr", "--x", "0.45"],
     ["transitions"],
@@ -474,6 +509,8 @@ def test_command_parser_route_matches_the_top_level_parser(tmp_path, monkeypatch
     top_level = cli.build_parser().parse_args
     assert _parsed(cli._parse, argv, capsys) == _parsed(top_level, argv, capsys)
     got = _ran(argv, capsys)
+    if {"-h", "--help"} & set(argv):  # help goes to stdout and exits 0
+        assert got[0] == ("exit", 0) and got[1].startswith("usage: dotnmr") and got[2] == ""
     monkeypatch.setattr(cli, "_parse", top_level)
     assert got == _ran(argv, capsys)
 
@@ -504,7 +541,7 @@ def test_cli_prints_each_user_warning_once_and_lets_runtime_warnings_escape(monk
 
     monkeypatch.setitem(cli._COMMANDS, "gate", command)
     want = "warning: m_max is too small (2 times)\nwarning: gamma_e is off\n"
-    # tier-1 runs with warnings as errors, as CI's smoke step does for RuntimeWarning
+    # tier-1 runs with warnings as errors, as PYTHONWARNINGS=error::RuntimeWarning does
     with pytest.raises(RuntimeWarning, match="overflow"):
         main(["gate"])
     assert capsys.readouterr() == ("", want)

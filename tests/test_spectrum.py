@@ -517,6 +517,23 @@ def test_a_huge_zeeman_slope_keeps_label_0():
     assert ground_m_abs(cfg, np.array([5e-161, 6e-161])).tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("cfg, to_states", [
+    (DotConfig(alpha_tilde=0.0, g_factor=2.2e-309, mstar_ratio=1.0), []),
+    (DotConfig(alpha_tilde=2.2e-309, g_factor=0.0), [(1, 1)]),
+])
+def test_no_transition_lies_where_no_energy_is_finite(cfg, to_states):
+    # x^2 overflows above ~1.34e154, where ground_state_at raises; the first config's exact
+    # 0 -> 1 crossing lies at 3.0e154, and the second's 1 -> 2 to 14 -> 15 at 6.0e154 to 6.2e155
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma_e disagrees with these g_factors
+        validate_config(cfg)
+    points = magic_transitions(cfg, 0.0, math.inf)
+    assert [tp.to_state for tp in points] == to_states
+    for tp in points:
+        assert ground_state_at(cfg, tp.x_star).label == tp.from_state
+    assert _staircase(cfg)[2] == math.inf
+
+
 # alpha_tilde from 0 through the ~1e16 where neighbouring mu_m round equal or an ulp
 # apart, up to 1e40, where every mu_m rounds to 1e20
 ALPHA_TILDES = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e15, 1e17),

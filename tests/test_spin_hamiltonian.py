@@ -272,7 +272,8 @@ def test_shift_error_is_bounded_by_the_oracle(g, mstar, alpha, m_max, x_lo):
     xs=st.lists(st.floats(1e-3, 30.0), max_size=6),
 )
 @example(g=2.0, mstar=0.19, alpha=3.0, m_max=15, xs=[5e-324])  # f0 underflows: NaN shifts
-# label 1 takes over at x* = 2/sqrt(2 g m*/m_e) = 3e154 here, where x^2 overflows
+# label 1's exact crossing x* = 2/sqrt(2 g m*/m_e) = 3e154 lies where x^2 overflows, so the
+# staircase reads it as inf
 @example(g=2.225073858507203e-309, mstar=1.0, alpha=0.0, m_max=5, xs=[])
 def test_resonance_chain_gives_the_same_bits_on_floats_and_arrays(g, mstar, alpha, m_max, xs):
     # one pass over a float and its int |m| gives 0-d values, each the array call's entry

@@ -362,7 +362,8 @@ def scalar_sweep_row(cfg, x):
          steps=2)
 @example(g=0.0, mstar=0.5, alpha=1.33384671841697, c=0.0, m_max=5, window="singlet",
          lo=0.125, span=50.0, steps=2)
-# and this one puts it at 1.9e155, past where x^2 overflows
+# and this one's exact crossings from 1 -> 2 on lie past ~1e155, where x^2 overflows, so its
+# staircase ends at 0 -> 1 (2.1e77)
 @example(g=0.0, mstar=0.5, alpha=2.225073858507203e-309, c=0.0, m_max=5, window="top", lo=1.0,
          span=1.0, steps=2)
 def test_sweep_row_matches_the_scalar_chain_bitwise(g, mstar, alpha, c, m_max, window, lo,
