@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import functools
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -131,6 +132,24 @@ def _load(args) -> tuple[DotConfig, SweepSpec]:
     return cfg, spec
 
 
+@contextlib.contextmanager
+def _grid_keys_as_given(args):
+    """Re-raise a grid range error naming each key as the user gave it.
+
+    That is the flag where one was passed, else sweep.<key>, the config file's name (or
+    the default's), so sweep and transitions name a key alike.
+    """
+    def name(match):
+        key = match[0]
+        flag = getattr(args, key, None) is not None
+        return f"--{key.replace('_', '-')}" if flag else f"sweep.{key}"
+
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(re.sub(r"\b(x_min|x_max|steps)\b", name, str(exc))) from None
+
+
 def _flag(args, flag: str, positive: bool = False) -> float:
     """The value of a float flag; ConfigError naming it unless finite (and > 0 if positive)."""
     value = getattr(args, flag[2:].replace("-", "_"))
@@ -141,7 +160,8 @@ def _flag(args, flag: str, positive: bool = False) -> float:
 
 def _cmd_sweep(args) -> int:
     cfg, spec = _load(args)
-    sweep = run_sweep(cfg, spec.x_min, spec.x_max, spec.steps)
+    with _grid_keys_as_given(args):
+        sweep = run_sweep(cfg, spec.x_min, spec.x_max, spec.steps)
     out_dir = args.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -163,13 +183,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_transitions(args) -> int:
     cfg, spec = _load(args)
-    # a bound the flags did not give comes from the config file (the defaults pass)
-    lo, hi = (f"--{key.replace('_', '-')}" if getattr(args, key) is not None else f"sweep.{key}"
-              for key in ("x_min", "x_max"))
-    if not spec.x_min >= 0:
-        raise ConfigError(f"{lo} must be >= 0, got {spec.x_min}")
-    if not spec.x_max > spec.x_min:
-        raise ConfigError(f"{hi} must exceed {lo}, got {spec.x_max} <= {spec.x_min}")
+    with _grid_keys_as_given(args):
+        if not spec.x_min >= 0:
+            raise ConfigError(f"x_min must be >= 0, got {spec.x_min}")
+        if not spec.x_max > spec.x_min:
+            raise ConfigError(f"x_max must exceed x_min, got {spec.x_max} <= {spec.x_min}")
     points = magic_transitions(cfg, spec.x_min, spec.x_max)
     b_tesla = [b_field_from_ratio(cfg, tp.x_star) for tp in points]  # before any output
     print("x_star      (|m|,S) -> (|m|,S)    B_tesla")
@@ -193,8 +211,8 @@ def _cmd_nmr(args) -> int:
     cfg, _ = _load(args)
     x = _flag(args, "--x", positive=True)  # the bare Larmor f0 vanishes at x = 0
     ground = ground_state_at(cfg, x)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, naming x
-        b, f0, a, f_closed, shift = map(float, _resonance_chain(cfg, x, ground.m_abs, args.ir))
+    # on the float x the chain runs on Python floats, which never warn; reported below, naming x
+    b, f0, a, f_closed, shift = _resonance_chain(cfg, x, ground.m_abs, args.ir)
     mu = mu_m(ground.m_abs, cfg.alpha_tilde)
     lines = [f"x = {x:g}   B = {b:.6f} T   ground state (|m|,S) = {ground.label}",
              f"mu_m = {mu:.9g}"]

@@ -18,9 +18,10 @@ require_* guards check the values computed from them where each enters.
 The guards compare a Python int or float directly, numpy's reductions being
 for arrays; with numpy's route for all values, spin-gates work_per_ref read
 0.1213 -> 0.0881 (-27 %, worse in 5/5 alternated 30 s pairs of bench/run.py,
-parent IQR 0.0067, 2-vCPU VM).  b_field_from_ratio takes numpy's route for a float
-too: a float branch there moved device-scan work_per_ref only 0.1025 -> 0.1036 (+1.0 %,
-better in 4/5 alternated 30 s pairs, inside the IQR 0.0075 of the runs with it).
+parent IQR 0.0067, 2-vCPU VM).  largest and sqrt make the same choice for the
+resonance chain's steps, so a point query (a float x and an int |m|) runs on
+Python floats from B to the shift; see spin_hamiltonian._resonance_chain for
+what that route is worth end to end.
 """
 
 from __future__ import annotations
@@ -139,6 +140,26 @@ def validate_config(cfg: DotConfig) -> DotConfig:
     return cfg
 
 
+def largest(value):
+    """value itself if a Python int or float, else the array value's largest entry (0 if empty)."""
+    return value if isinstance(value, (int, float)) else np.max(value, initial=0)
+
+
+def sqrt(value):
+    """Square root: math.sqrt on a Python int or float, np.sqrt on an array.
+
+    Both round correctly, so a float gets the bits of the array's entry, and math.sqrt
+    costs about a third of np.sqrt on one value.
+    """
+    return math.sqrt(value) if isinstance(value, (int, float)) else np.sqrt(value)
+
+
+def where(condition, if_true, if_false):
+    """np.where on an array condition; on a Python (or numpy) scalar, the value it picks as is."""
+    return (np.where(condition, if_true, if_false) if isinstance(condition, np.ndarray)
+            else if_true if condition else if_false)
+
+
 def require_non_negative(name: str, value) -> None:
     """Raise ValueError unless value (a number or an array) is >= 0 throughout; NaN fails.
 
@@ -154,7 +175,7 @@ def require_non_negative(name: str, value) -> None:
 def require_finite_non_negative(name: str, value) -> None:
     """require_non_negative, and raise ValueError naming value where it is +inf."""
     require_non_negative(name, value)
-    if not (value if isinstance(value, (int, float)) else np.max(value, initial=0)) < math.inf:
+    if not largest(value) < math.inf:
         raise ValueError(f"{name} must be finite, got {_first_failing(value, np.isfinite)}")
 
 
@@ -175,10 +196,15 @@ def b_field_from_ratio(cfg: DotConfig, x):
     """
     require_non_negative("x", x)
     b = x * cfg.hbar_omega0 * cfg.mstar_ratio / K_CYC_MEV_PER_T
-    if not np.max(b, initial=0) < math.inf:
-        bad = np.ravel(x)[np.argmin(np.isfinite(b).ravel())]
-        raise FloatingPointError(f"magnetic field is not finite at x = {bad}")
+    require_finite_at_x("magnetic field", b, x)
     return b
+
+
+def require_finite_at_x(what: str, value, x) -> None:
+    """Raise FloatingPointError naming the first x where value (of x's shape) is not finite."""
+    if not largest(value) < math.inf:
+        bad = np.ravel(x)[np.argmin(np.isfinite(value).ravel())]
+        raise FloatingPointError(f"{what} is not finite at x = {bad}")
 
 
 def nuclear_larmor_mhz(cfg: DotConfig, b_tesla):

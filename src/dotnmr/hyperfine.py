@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .config import DotConfig, require_non_negative
+from .config import DotConfig, require_finite_at_x, require_non_negative
 from .spectrum import effective_omega_ratio, mu_m, spin_for_m
 
 
@@ -50,9 +50,15 @@ def _center_scales(alpha_tilde: float) -> np.ndarray:
 
 
 def delta_m(cfg: DotConfig, x, m_abs):
-    """Electron density at the nucleus, CM in its ground state, in 1/l0^2."""
+    """Electron density at the nucleus, CM in its ground state, in 1/l0^2.
+
+    An int |m| reads its table entry as a Python float, so a float x stays on floats.
+    """
     require_non_negative("m_abs", m_abs)
-    return effective_omega_ratio(x) / _center_scales(cfg.alpha_tilde).take(m_abs, mode="clip")
+    table = _center_scales(cfg.alpha_tilde)
+    scale = (table.item(min(m_abs, table.size - 1)) if isinstance(m_abs, int)
+             else table.take(m_abs, mode="clip"))
+    return effective_omega_ratio(x) / scale
 
 
 def delta_cm(cfg: DotConfig, x, m_abs):
@@ -61,6 +67,12 @@ def delta_cm(cfg: DotConfig, x, m_abs):
 
 
 def coupling_a(cfg: DotConfig, x, m_abs, *, ir_excited: bool = False):
-    """Hyperfine coupling A(m) in MHz: exactly 0 for an even |m| (singlet), S = spin_for_m(|m|)."""
+    """Hyperfine coupling A(m) in MHz: exactly 0 for an even |m| (singlet), S = spin_for_m(|m|).
+
+    Raises FloatingPointError naming the first x where A overflows (hyperfine_c near the
+    float limit at a large x), as b_field_from_ratio does for B.
+    """
     density = delta_cm(cfg, x, m_abs) if ir_excited else delta_m(cfg, x, m_abs)
-    return 0.5 * cfg.hyperfine_c * density * spin_for_m(m_abs)
+    a = 0.5 * cfg.hyperfine_c * (density * spin_for_m(m_abs))  # a singlet's 0 even there
+    require_finite_at_x("hyperfine coupling", a, x)
+    return a

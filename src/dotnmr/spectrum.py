@@ -30,6 +30,7 @@ hyperfine.coupling_a takes no S but works it out from |m|.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DotConfig, require_non_negative
+from .config import DotConfig, largest, require_non_negative, sqrt
 
 
 def spin_for_m(m_abs: int) -> int:
@@ -48,17 +49,17 @@ def spin_for_m(m_abs: int) -> int:
 def mu_m(m_abs, alpha_tilde: float):
     """Effective angular-momentum index sqrt(m^2 + alpha_tilde), for an int or an int array |m|.
 
-    np.sqrt rounds correctly, so each value equals math.sqrt's.
+    An int gives a Python float, the bits of the array call's entry (see config.sqrt).
     """
     require_non_negative("alpha_tilde", alpha_tilde)
     require_non_negative("m_abs", m_abs)
-    return np.sqrt(m_abs * m_abs + alpha_tilde)
+    return sqrt(m_abs * m_abs + alpha_tilde)
 
 
 def effective_omega_ratio(x):
-    """Hybrid frequency over omega_0: sqrt(x^2 + 4), for a float or an array x."""
+    """Hybrid frequency over omega_0: sqrt(x^2 + 4), for a float or an array x (config.sqrt)."""
     require_non_negative("x", x)
-    return np.sqrt(x * x + 4.0)
+    return sqrt(x * x + 4.0)
 
 
 class OrbitalGround(NamedTuple):
@@ -189,12 +190,23 @@ def ground_m_abs(cfg: DotConfig, x):
     Raises ValueError for a negative or NaN x, and FloatingPointError naming
     the first x whose energies are not finite (x^2 overflows above ~1.3e154).
     """
+    return _window_label(_staircase(cfg), x)
+
+
+def _window_label(staircase, x):
+    """ground_m_abs on the staircase already read: an int for a Python int or float x.
+
+    bisect_left on a float finds the window np.searchsorted(..., side="left") does,
+    without numpy's cost per call.
+    """
     require_non_negative("x", x)
-    top = float(np.asarray(x).max(initial=0.0))
+    top = float(largest(x))
     if not math.isfinite(top * top):  # x >= 0, so the largest x overflows first
         bad = next(v for v in np.ravel(x).tolist() if not math.isfinite(v * v))
         raise FloatingPointError(f"ground-state energy is not finite at x = {bad}")
-    crossings, labels, _ = _staircase(cfg)
+    crossings, labels, _ = staircase
+    if isinstance(x, (int, float)):
+        return labels.item(bisect.bisect_left(crossings, x))
     return labels[np.searchsorted(crossings, x, side="left")]
 
 
@@ -203,10 +215,11 @@ def ground_state_at(cfg: DotConfig, x: float) -> OrbitalGround:
 
     Above the staircase's x_trust a label beyond m_max is the true ground state,
     so there the result carries a boundary flag and a warning is issued on every
-    such call.
+    such call.  The cached staircase is read once.
     """
-    best_m = int(ground_m_abs(cfg, x))
-    x_trust = _staircase(cfg)[2]
+    staircase = _staircase(cfg)
+    best_m = int(_window_label(staircase, x))
+    x_trust = staircase[2]
     at_boundary = x > x_trust
     if at_boundary:
         warnings.warn(

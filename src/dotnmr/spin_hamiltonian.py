@@ -36,7 +36,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DotConfig, b_field_from_ratio, nuclear_larmor_mhz, require_finite_non_negative
+from .config import (
+    DotConfig,
+    b_field_from_ratio,
+    nuclear_larmor_mhz,
+    require_finite_non_negative,
+    sqrt,
+    where,
+)
 from .errors import DegenerateSelectionError
 from .hyperfine import coupling_a
 from .numerics import hermitian_eig
@@ -123,18 +130,27 @@ def build_spin_matrix(
     return h
 
 
+# s * s is a normal float from here up (2^-1022 = 2.2e-308)
+_S_SQUARE_MIN = 2.0**-511
+
+
 def nmr_closed_form(a_mhz, b_tesla, cfg: DotConfig):
-    """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays)."""
+    """Closed-form nuclear resonance of the triplet sector, MHz (floats or arrays).
+
+    A float gets a Python float, the bits of the array call's entry (config.sqrt and
+    config.where).  The root squares s = A + (gamma_n + gamma_e) B, so f holds where s * s
+    is a normal float: above, s * s overflows and f is inf or NaN; below s = 2^-511
+    (~1.5e-154 MHz), where s * s would keep few or none of its digits (with A = 0 it
+    gave f = (gamma_n - gamma_e) B / 2, not gamma_n B), f is NaN, so that every caller
+    reports it, naming x.  s = 0 (A = B = 0) gives f = 0 exactly.
+    """
     require_finite_non_negative("a_mhz", a_mhz)
     require_finite_non_negative("b_tesla", b_tesla)
     gn = cfg.gamma_n
     ge = cfg.gamma_e
     s = a_mhz + (gn + ge) * b_tesla
-    return (
-        1.5 * a_mhz
-        + 0.5 * (gn - ge) * b_tesla
-        + 0.5 * np.sqrt(s * s + 8.0 * a_mhz * a_mhz)
-    )
+    f = 1.5 * a_mhz + 0.5 * (gn - ge) * b_tesla + 0.5 * sqrt(s * s + 8.0 * a_mhz * a_mhz)
+    return where((0.0 < s) & (s < _S_SQUARE_MIN), math.nan, f)
 
 
 # rows of |+;1,-1>, |-;1,0> and the stretched |-;1,-1> in spin_basis(1)
@@ -201,25 +217,32 @@ def relative_shift(cfg: DotConfig, x: float, ir_excited: bool = False) -> float:
     """
     if not x > 0:
         raise ValueError(f"x must be > 0 (f0 vanishes at B=0), got {x}")
-    m_abs = ground_state_at(cfg, x).m_abs
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
-        shift = float(_resonance_chain(cfg, x, m_abs, ir_excited)[-1])
+    x = float(x)  # so the chain runs on Python floats, which never warn
+    shift = _resonance_chain(cfg, x, ground_state_at(cfg, x).m_abs, ir_excited)[-1]
     if not math.isfinite(shift):
         raise FloatingPointError(f"relative shift is not finite at x = {x}")
     return shift
 
 
-def _resonance_chain(cfg: DotConfig, x, m_abs, ir_excited: bool):
-    """B, f0, A, f and (f - f0)/f0 for one IR mode at x and the ground |m|.
+def _resonance_chain(cfg: DotConfig, x, m_abs, *ir_modes: bool):
+    """B and f0, then A, f and (f - f0)/f0 for each IR mode in ir_modes, at x and ground |m|.
 
-    x and |m| are a float and an int, giving 0-d values, or 1-D arrays of one length,
-    giving one entry per row; an entry equals the scalar call's value bitwise.  f0 =
+    x and |m| are a float and an int, giving Python floats, or 1-D arrays of one length,
+    giving one entry per row; an entry equals the float call's value bitwise.  f0 =
     gamma_n B and A is coupling_a's, exactly 0 for a singlet.  f is nmr_closed_form's
     where spin_for_m(|m|) marks a triplet and f0 itself on a singlet, so a singlet's shift
-    is exactly +0.0 where f0 > 0 and NaN where f0 has underflowed to 0.  The closed form
-    runs on every row (b_field_from_ratio has refused an infinite B), and its guards keep
-    a negative A from an unvalidated config out.  The caller runs this under np.errstate
-    and reports a shift that is not finite, naming x.
+    is exactly +0.0 where f0 > 0 and NaN where f0 has underflowed to 0.  On an |m| array
+    the closed form runs on every row (b_field_from_ratio has refused an infinite B), and
+    its guards keep a negative A from an unvalidated config out; on one |m| it runs only
+    for a triplet.  The caller reports a shift that is not finite, naming x, and runs an
+    array call under np.errstate; on floats nothing warns, as the one numpy division, by a
+    zero f0, runs under its own.  Several modes in one call (sweep_row's two) share B and
+    f0.  That float route, with its owners' (config.largest, sqrt and where, the bisect of
+    spectrum._window_label, hyperfine.delta_m's table read), took relative_shift(DotConfig(),
+    2.5, True) ~21 -> ~5.6 us and at x = 0.2 ~24 -> ~3.9 us (timeit min, alternated
+    processes; PR-20 tree 9.3-13.6 and 3.9-4.7 us), and device-scan work_per_ref 0.0848 ->
+    0.0936 (+10.4 %, better in 9/10 alternated 30 s pairs of bench/run.py, parent IQR
+    0.0048, 2-vCPU VM).
 
     f sums terms of size gamma_e B / 2, so the shift's absolute error reaches about
     1.15 eps gamma_e/gamma_n (~6.7e-13 for the default nuclei) whatever its size: a shift
@@ -229,6 +252,18 @@ def _resonance_chain(cfg: DotConfig, x, m_abs, ir_excited: bool):
     """
     b = b_field_from_ratio(cfg, x)
     f0 = nuclear_larmor_mhz(cfg, b)
-    a = coupling_a(cfg, x, m_abs, ir_excited=ir_excited)
-    f = np.where(spin_for_m(m_abs), nmr_closed_form(a, b, cfg), f0)
-    return b, f0, a, f, (f - f0) / f0
+    triplet = spin_for_m(m_abs)
+    chain = [b, f0]
+    for ir_excited in ir_modes:
+        a = coupling_a(cfg, x, m_abs, ir_excited=ir_excited)
+        if isinstance(triplet, np.ndarray):
+            f = np.where(triplet, nmr_closed_form(a, b, cfg), f0)
+        else:  # one |m|: the closed form only if it is a triplet's
+            f = nmr_closed_form(a, b, cfg) if triplet else f0
+        if isinstance(f0, np.ndarray) or f0:
+            shift = (f - f0) / f0
+        else:  # Python's division raises on a zero f0, where numpy's gives NaN or +-inf
+            with np.errstate(divide="ignore", invalid="ignore"):  # the caller reports it
+                shift = float(np.divide(f - f0, f0))
+        chain += [a, f, shift]
+    return chain

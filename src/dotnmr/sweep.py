@@ -80,8 +80,7 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
     x = np.array(x, dtype=float, ndmin=1)
     m_abs = ground_m_abs(cfg, x)
     spin = spin_for_m(m_abs)
-    b, f0, a, f, shift = _resonance_chain(cfg, x, m_abs, False)
-    *_, a_cm, f_ir, shift_ir = _resonance_chain(cfg, x, m_abs, True)
+    b, f0, a, f, shift, a_cm, f_ir, shift_ir = _resonance_chain(cfg, x, m_abs, False, True)
     return Sweep(x, b, m_abs, spin, mu_m(m_abs, cfg.alpha_tilde), delta_m(cfg, x, m_abs) * spin,
                  delta_cm(cfg, x, m_abs) * spin, a, a_cm, f0, f, f_ir, shift, shift_ir)
 
@@ -100,7 +99,7 @@ def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
     if not x_min > 0:
         raise ConfigError(f"x_min must be > 0 (the bare Larmor f0 vanishes at B=0), got {x_min}")
     if not x_min < x_max:
-        raise ConfigError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+        raise ConfigError(f"x_max must exceed x_min, got {x_max} <= {x_min}")
     x = x_min + np.arange(steps) * ((x_max - x_min) / (steps - 1))
     x[-1] = x_max
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below, naming x

@@ -201,7 +201,7 @@ def test_a_huge_step_count_exits_1_before_allocating_the_grid(tmp_path, monkeypa
         tracemalloc.stop()
     assert peak < 2**20  # a grid of STEPS_LIMIT + 1 floats alone takes 16 MB
     assert capsys.readouterr() == (
-        "", f"config error: steps must be in [2, {STEPS_LIMIT}], got {steps}\n")
+        "", f"config error: --steps must be in [2, {STEPS_LIMIT}], got {steps}\n")
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -267,6 +267,40 @@ def test_entry_points_agree_where_f0_underflows(tmp_path, capsys, config, x):
             relative_shift(cfg, x, ir_excited=ir)
         assert main(["nmr", "--x", repr(x), "--config", str(path)] + (["--ir"] if ir else [])) == 2
         assert capsys.readouterr() == ("", f"numerical failure: nmr result is not finite at x = {x}\n")
+
+
+def test_entry_points_name_x_where_the_closed_form_would_square_below_the_normal_range(
+        tmp_path, capsys):
+    # s = (gamma_n + gamma_e) B is 4.6e-156 at x = 1.0, in the triplet (1, 1): s * s would keep
+    # 17 bits (with A = 0 the shift read -1.6e-11, not 0), so f is NaN and every entry point
+    # fails naming x
+    path = tmp_path / "c.json"
+    path.write_text('{"hbar_omega0": 1e-160, "hyperfine_c": 0.0}')
+    cfg, _ = load_config(path)
+    assert ground_state_at(cfg, 1.0).label == (1, 1)
+    with pytest.raises(FloatingPointError, match=r"^relative shift is not finite at x = 1\.0$"):
+        relative_shift(cfg, 1.0)
+    with pytest.raises(FloatingPointError, match=r"^sweep row is not finite at x = 1\.0$"):
+        run_sweep(cfg, 1.0, 2.0, 3)
+    assert main(["nmr", "--x", "1.0", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", "numerical failure: nmr result is not finite at x = 1.0\n")
+
+
+def test_entry_points_name_x_where_the_coupling_overflows(tmp_path, capsys):
+    # A = hyperfine_c delta / 2 overflows at x = 1e4 in the triplet (1, 1); the closed form's
+    # guard used to raise "a_mhz must be finite, got inf", which named no x
+    path = tmp_path / "c.json"
+    path.write_text('{"hyperfine_c": 1e308, "alpha_tilde": 0.0, "m_max": 5}')
+    cfg, _ = load_config(path)
+    assert ground_state_at(cfg, 1e4).label == (1, 1)
+    message = "hyperfine coupling is not finite at x = 10000.0"
+    for ir in (False, True):
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            relative_shift(cfg, 1e4, ir)
+    with pytest.raises(FloatingPointError, match=f"^{message}$"):
+        run_sweep(cfg, 1e4, 2e4, 3)
+    assert main(["nmr", "--x", "1e4", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
 
 @pytest.mark.parametrize("x", [0.3, 1.0])
@@ -428,6 +462,36 @@ def test_bad_point_query_flag_exits_1_before_printing(tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
+
+
+_INVERTED = '{"sweep": {"x_min": 2.0, "x_max": 1.0}}'
+_X_MIN_0 = "must be > 0 (the bare Larmor f0 vanishes at B=0), got 0.0"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        # each key in the file is named as the file spells it, by both commands
+        (["sweep"], '{"sweep": {"steps": 1}}', f"sweep.steps must be in [2, {STEPS_LIMIT}], got 1"),
+        (["sweep"], '{"sweep": {"x_min": 0.0}}', f"sweep.x_min {_X_MIN_0}"),
+        (["sweep"], _INVERTED, "sweep.x_max must exceed sweep.x_min, got 1.0 <= 2.0"),
+        (["transitions"], _INVERTED, "sweep.x_max must exceed sweep.x_min, got 1.0 <= 2.0"),
+        # and a value given by a flag by its flag, beside a bound from the file
+        (["sweep", "--steps", "1"], "{}", f"--steps must be in [2, {STEPS_LIMIT}], got 1"),
+        (["sweep", "--x-min", "0"], "{}", f"--x-min {_X_MIN_0}"),
+        (["sweep", "--x-max", "1"], '{"sweep": {"x_min": 2.0}}',
+         "--x-max must exceed sweep.x_min, got 1.0 <= 2.0"),
+        (["transitions", "--x-max", "1"], '{"sweep": {"x_min": 2.0}}',
+         "--x-max must exceed sweep.x_min, got 1.0 <= 2.0"),
+    ],
+)
+def test_grid_errors_name_each_key_as_given_by_both_commands(tmp_path, monkeypatch, capsys, argv,
+                                                             text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(text)
+    assert main([*argv, "--config", "grid.json"]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # argv for both parse routes: a command first takes its own parser, anything else

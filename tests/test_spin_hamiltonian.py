@@ -1,4 +1,6 @@
+import contextlib
 import math
+import re
 import struct
 import warnings
 from unittest import mock
@@ -11,18 +13,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotnmr import (
+    K_CYC_MEV_PER_T,
+    ConfigError,
     DegenerateSelectionError,
     DotConfig,
     SpinBasisLabel,
     build_spin_matrix,
+    coupling_a,
+    delta_cm,
+    delta_m,
+    effective_omega_ratio,
+    ground_state_at,
     hermitian_eig,
+    mu_m,
     nmr_closed_form,
     nmr_numeric,
     relative_shift,
     run_sweep,
     validate_config,
 )
-from dotnmr.spectrum import _staircase, ground_m_abs, magic_transitions
+from dotnmr.hyperfine import _center_scales
+from dotnmr.spectrum import _staircase, ground_m_abs, magic_transitions, spin_for_m
 from dotnmr.spin_hamiltonian import _resonance_chain, spin_basis
 
 
@@ -225,6 +236,11 @@ def test_relative_shift_names_x_where_the_shift_is_not_finite(field, value):
 EPS = float(np.finfo(float).eps)
 
 
+def _exponents(lo, hi):
+    """Floats 10^e for e drawn uniformly from [lo, hi]: log-uniform over those decades."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
 def stable_shift(a, b, cfg):
     """(f - f0)/f0 without cancellation: f - gamma_n B = 2A + 4A^2/(sqrt(s^2 + 8A^2) + s)."""
     s = a + (cfg.gamma_n + cfg.gamma_e) * b
@@ -263,6 +279,112 @@ def test_shift_error_is_bounded_by_the_oracle(g, mstar, alpha, m_max, x_lo):
             assert abs(stable_shift(a, b, cfg) - exact) <= 4.0 * EPS * abs(exact)
 
 
+# a product's or quotient's absolute rounding error where it falls below 2^-1022: the
+# underflow term of the standard model (N. J. Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., SIAM 2002, eq. (2.8)); half the smallest subnormal, so an mpf
+ETA = mpmath.ldexp(1, -1075)
+
+
+def exact_chain(cfg, x, m_abs, ir):
+    """B, f0, the density, A, f and the shift at 50 digits from the config, x and |m| alone.
+
+    The density is 0 where the float pi 2^(1 + mu_m) overflows, as hyperfine defines it.
+    Also returned: 1 + mu_m, f's derivatives in A and B, and the shift's.
+    """
+    with mpmath.workdps(50):
+        x, h, ms, gn, ge, c, alpha = map(mpmath.mpf, (
+            x, cfg.hbar_omega0, cfg.mstar_ratio, cfg.gamma_n, cfg.gamma_e, cfg.hyperfine_c,
+            cfg.alpha_tilde))
+        b = x * h * ms / mpmath.mpf(K_CYC_MEV_PER_T)
+        f0 = gn * b
+        v = 1 + mpmath.sqrt(m_abs * m_abs + alpha)
+        density = mpmath.sqrt(x * x + 4) / (mpmath.pi * mpmath.power(2, v))
+        if _center_scales(cfg.alpha_tilde)[min(m_abs, 1022)] == math.inf:
+            density = mpmath.mpf(0)
+        density *= v / 2 if ir else 1
+        a = c / 2 * density * spin_for_m(m_abs)
+        s = a + (gn + ge) * b
+        root = mpmath.sqrt(s * s + 8 * a * a)
+        f_a, f_b = 1.5 + (s + 8 * a) / (2 * root), (gn - ge + (gn + ge) * s / root) / 2
+        df = 2 * a + 4 * a * a / (root + s)  # f - f0 without cancellation
+        if not spin_for_m(m_abs):
+            df, f_a, f_b = mpmath.mpf(0), mpmath.mpf(0), gn
+        return (b, f0, density, a, f0 + df, df / f0), float(v), (
+            f_a, f_b, f_a / f0, (f_b - (f0 + df) / b) / f0)
+
+
+def assert_within(name, got, want, rel, allowance):
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(got) - want) <= rel * abs(want) + allowance, (name, got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    h=_exponents(-323.0, 308.0),
+    mstar=_exponents(-323.0, 308.0),
+    g=st.one_of(st.just(0.0), _exponents(-323.0, 308.0)),
+    gn=_exponents(-323.0, 308.0),
+    ratio=_exponents(0.0, 308.0),
+    c=st.one_of(st.just(0.0), _exponents(-323.0, 308.0)),
+    alpha=st.one_of(st.just(0.0), _exponents(-323.0, 308.0)),
+    m_max=st.integers(5, 200),
+    x=_exponents(-12.0, 6.0),
+)
+# s = (gamma_n + gamma_e) B is 4.6e-156 here, so s * s kept 17 bits: with A = 0 the shift read
+# -1.6e-11, not 0.  f is NaN below s = 2^-511 now
+@example(h=1e-160, mstar=0.19, g=2.0, gn=10.7084, ratio=2617.1, c=0.0, alpha=3.0, m_max=15, x=1.0)
+# A overflowed, and the closed form's guard raised a ValueError that did not name x
+@example(h=2.5, mstar=0.19, g=2.0, gn=10.7084, ratio=2617.1, c=1e308, alpha=0.0, m_max=5, x=1e4)
+def test_point_route_matches_mpmath_over_the_accepted_range(h, mstar, g, gn, ratio, c, alpha,
+                                                            m_max, x):
+    # a differential test of B, f0, the density, A, f and the shift on the float route
+    # against mpmath from the config alone, each field drawn log-uniformly over what
+    # validate_config accepts: each value lies within its ulp bound, widened only by the
+    # underflow term where a product falls below 2^-1022, or the route raises a named error
+    cfg = DotConfig(hbar_omega0=h, mstar_ratio=mstar, g_factor=g, gamma_n=gn,
+                    gamma_e=gn * ratio, hyperfine_c=c, alpha_tilde=alpha, m_max=m_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma_e's and m_max's
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            return
+        m_abs = ground_state_at(cfg, x).m_abs
+        for ir in (False, True):
+            try:
+                shift = relative_shift(cfg, x, ir)
+            except FloatingPointError as exc:
+                assert re.fullmatch(rf"(magnetic field|hyperfine coupling|relative shift) is not "
+                                    rf"finite at x = {x}", str(exc))
+                continue
+            b, f0, a, f, chain_shift = _resonance_chain(cfg, x, m_abs, ir)
+            assert _bits(chain_shift) == _bits(shift)
+            density = (delta_cm if ir else delta_m)(cfg, x, m_abs)
+            want, v, (f_a, f_b, shift_a, shift_b) = exact_chain(cfg, x, m_abs, ir)
+            rel_b, allow_b = 2 * EPS, ETA * (mpmath.mpf(cfg.mstar_ratio) / K_CYC_MEV_PER_T + 10)
+            # 2^(1 + mu_m) carries the rounding of 1 + mu_m, about (1 + mu_m) eps
+            rel_a = EPS * (v + 6) * (2 if ir else 1)
+            allow_density = ETA * (v + 2)
+            allow_a = cfg.hyperfine_c * allow_density + ETA * (want[2] + 1)
+            error_a, error_b = rel_a * abs(want[3]) + allow_a, rel_b * want[0] + allow_b
+            # the closed form's own rounding, as test_shift_error_is_bounded_by_the_oracle
+            # bounds it, and what the errors of A and B carry into f
+            s_max = a + mpmath.mpf(cfg.gamma_e) * b
+            rounding = 2 * EPS * (s_max + 2 * a) + ETA * (2 * b + 5 / s_max)
+            for name, got, value, rel, allowance in (
+                ("B", b, want[0], rel_b, allow_b),
+                ("f0", f0, want[1], rel_b + EPS, cfg.gamma_n * allow_b + ETA),
+                ("density", density, want[2], rel_a, allow_density),
+                ("A", a, want[3], rel_a, allow_a),
+                ("f", f, want[4], 0.0, rounding + abs(f_a) * error_a + abs(f_b) * error_b),
+                ("shift", shift, want[5], 4 * EPS + ETA / f0,
+                 (rounding + 2 * ETA) / f0 + abs(shift_a) * error_a + abs(shift_b) * error_b),
+            ):
+                assert_within(name, got, value, rel, allowance)
+            if not spin_for_m(m_abs):
+                assert shift == 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     g=st.floats(0.0, 3.0),
@@ -276,20 +398,72 @@ def test_shift_error_is_bounded_by_the_oracle(g, mstar, alpha, m_max, x_lo):
 # staircase reads it as inf
 @example(g=2.225073858507203e-309, mstar=1.0, alpha=0.0, m_max=5, xs=[])
 def test_resonance_chain_gives_the_same_bits_on_floats_and_arrays(g, mstar, alpha, m_max, xs):
-    # one pass over a float and its int |m| gives 0-d values, each the array call's entry
+    # one pass over a float and its int |m| gives Python floats, each the array call's entry
     cfg = DotConfig(g_factor=g, mstar_ratio=mstar, alpha_tilde=alpha, m_max=m_max)
     crossings = _staircase(cfg)[0]
     edges = [0.0, *crossings[crossings < 30.0].tolist(), 30.0]
     # an x inside every window below 30 as well, so singlets and triplets both occur
     x = np.array(xs + [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])])
     m_abs = ground_m_abs(cfg, x)
+    modes = []
     for ir in (False, True):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows = _resonance_chain(cfg, x, m_abs, ir)
             for i, (x_i, m_i) in enumerate(zip(x.tolist(), m_abs.tolist())):
                 point = _resonance_chain(cfg, x_i, m_i, ir)
-                assert all(np.ndim(value) == 0 for value in point)
+                assert all(type(value) is float for value in point)
                 assert [np.float64(v).tobytes() for v in point] == [v[i].tobytes() for v in rows]
+        modes.append(rows)
+    # both modes in one call, as sweep_row makes it: B and f0 once, then each mode's A, f, shift
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        both = _resonance_chain(cfg, x, m_abs, False, True)
+    assert [v.tobytes() for v in both] == [v.tobytes() for v in modes[0] + modes[1][2:]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.one_of(st.just(0.0), _exponents(-3.0, 7.0)),
+    rows=st.lists(st.tuples(
+        st.one_of(st.just(5e-324), _exponents(-320.0, 3.0)),  # x
+        st.integers(0, 1100),  # |m|, past the end of the table too
+        st.one_of(st.just(0.0), _exponents(-320.0, 30.0)),  # A
+        st.one_of(st.just(0.0), _exponents(-320.0, 30.0)),  # B
+    ), min_size=1, max_size=8),
+)
+def test_each_step_gives_a_float_the_bits_of_the_array_entry(alpha, rows):
+    # the owners of the chain's steps keep a float x, an int |m| and float A and B on Python
+    # floats, each the bits of the array call's entry: NaN too, where s * s would underflow
+    cfg = DotConfig(alpha_tilde=alpha)
+    xs, ms, a_s, bs = (list(column) for column in zip(*rows))
+    x, m, a, b = map(np.array, (xs, ms, a_s, bs))
+    steps = [
+        (lambda i: mu_m(ms[i], alpha), mu_m(m, alpha)),
+        (lambda i: effective_omega_ratio(xs[i]), effective_omega_ratio(x)),
+        (lambda i: delta_m(cfg, xs[i], ms[i]), delta_m(cfg, x, m)),
+        (lambda i: delta_cm(cfg, xs[i], ms[i]), delta_cm(cfg, x, m)),
+        (lambda i: coupling_a(cfg, xs[i], ms[i]), coupling_a(cfg, x, m)),
+        (lambda i: coupling_a(cfg, xs[i], ms[i], ir_excited=True),
+         coupling_a(cfg, x, m, ir_excited=True)),
+        (lambda i: nmr_closed_form(a_s[i], bs[i], cfg), nmr_closed_form(a, b, cfg)),
+    ]
+    for point, column in steps:
+        for i in range(len(rows)):
+            value = point(i)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == column[i].tobytes()
+
+
+def test_relative_shift_on_a_float_calls_no_numpy_routine(default_cfg):
+    queries = ((0.2, False), (2.5, True), (1.0, False), (3.7, True))
+    for x, ir in queries:  # the staircase and the density table are built and cached here
+        relative_shift(default_cfg, x, ir)
+    names = ("where", "sqrt", "max", "searchsorted", "divide", "asarray")
+    with contextlib.ExitStack() as stack:
+        mocks = [stack.enter_context(mock.patch.object(np, name, wraps=getattr(np, name)))
+                 for name in names]
+        shifts = [relative_shift(default_cfg, x, ir) for x, ir in queries]
+    assert [m.call_count for m in mocks] == [0] * len(names)
+    assert all(type(shift) is float for shift in shifts)
 
 
 def test_closed_form_is_the_f_z_block_resonance_symbolically(default_cfg):
@@ -444,7 +618,7 @@ def test_nmr_numeric_diagonalizes_the_built_matrix_once(default_cfg, a, b):
         return
     res = nmr_numeric(a, b, default_cfg)
     fields = (res.f_nmr, res.f_closed, res.c1, res.c2, res.f0)
-    assert [type(v) for v in fields] == [float, np.float64, float, float, float]
+    assert [type(v) for v in fields] == [float] * 5
     assert [_bits(v) for v in fields] == [
         _bits(v) for v in (ref[0], nmr_closed_form(a, b, default_cfg), ref[1], ref[2],
                            default_cfg.gamma_n * b)

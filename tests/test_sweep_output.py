@@ -8,6 +8,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -133,6 +134,17 @@ def test_row_error_reports_offending_x(default_cfg, monkeypatch):
     # x = 0.2 is a singlet row (finite); 0.4 is the first triplet row
     with pytest.raises(FloatingPointError, match="x = 0.4$"):
         run_sweep(default_cfg, 0.2, 1.0, 5)
+
+
+def test_sweep_row_computes_b_and_f0_once_for_both_ir_modes(default_cfg, monkeypatch):
+    import dotnmr.spin_hamiltonian as sh_mod
+
+    steps = {}
+    for name in ("b_field_from_ratio", "nuclear_larmor_mhz"):
+        steps[name] = mock.Mock(wraps=getattr(sh_mod, name))
+        monkeypatch.setattr(sh_mod, name, steps[name])
+    sweep_row(default_cfg, np.linspace(0.05, 5.0, 50))
+    assert [step.call_count for step in steps.values()] == [1, 1]
 
 
 def test_sweep_error_keeps_its_type(default_cfg, monkeypatch, tmp_path, capsys):
