@@ -32,9 +32,8 @@ from .gates import (
     rwa_pulse,
 )
 from .hyperfine import coupling_a, delta_cm, delta_m
-from .numerics import EigenSystem, bracket_roots, evolve, hermitian_eig
+from .numerics import EigenSystem, evolve, hermitian_eig
 from .output import (
-    RunManifest,
     build_manifest,
     emit_svg,
     load_config,

@@ -99,11 +99,6 @@ def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, {"sweep": p_sweep, "transitions": p_tr, "nmr": p_nmr, "gate": p_gate}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The dotnmr argument parser, built on first use and shared by later calls."""
-    return _parsers()[0]
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as the top-level parser would parse it, by the shorter route if any."""
     parser, commands = _parsers()
@@ -128,13 +123,14 @@ def _load(args) -> tuple[DotConfig, SweepSpec]:
     if getattr(args, "ir", False):
         overrides["ir"] = True
     if overrides:
-        spec = SweepSpec(**{**spec.__dict__, **overrides})
+        with _grid_keys_as_given(args):
+            spec = SweepSpec(**{**spec.__dict__, **overrides})
     return cfg, spec
 
 
 @contextlib.contextmanager
 def _grid_keys_as_given(args):
-    """Re-raise a grid range error naming each key as the user gave it.
+    """Re-raise a grid error naming each key as the user gave it.
 
     That is the flag where one was passed, else sweep.<key>, the config file's name (or
     the default's), so sweep and transitions name a key alike.
@@ -175,7 +171,7 @@ def _cmd_sweep(args) -> int:
     manifest = build_manifest(cfg, spec, paths)
     manifest_path = write_manifest(manifest, out_dir / "manifest.json")
     print(f"wrote {len(sweep.x)} rows over x in [{spec.x_min:g}, {spec.x_max:g}]")
-    for entry in manifest.outputs:
+    for entry in manifest["outputs"]:
         print(f"  {out_dir / entry['path']}  sha256={entry['sha256'][:16]}")
     print(f"  {manifest_path}")
     return 0

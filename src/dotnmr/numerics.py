@@ -25,7 +25,10 @@ pairs counted, against the IQR of the runs with it):
   tests pin its bytes to eigh's: 0.1194 -> 0.1327 (+11.1 %, 5/5, IQR 0.0036).
 * _check_hermitian_array subtracts H - H^dag without entering an error state
   when 2 max|H| is finite, where the subtraction cannot overflow:
-  0.1242 -> 0.1339 (+7.8 %, 4/5, IQR 0.0081).
+  0.1242 -> 0.1339 (+7.8 %, 4/5, IQR 0.0081).  Ten pairs (seeds 1-10) gave
+  0.1150 -> 0.1197 (+4.1 %, 10/10, IQR 0.0050): the medians lie closer than
+  that IQR, and the single form's below its first quartile, so the price is
+  unresolved and the route stays.
 """
 
 from __future__ import annotations

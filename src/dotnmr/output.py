@@ -1,4 +1,4 @@
-"""CSV and SVG emission from Sweep columns, run manifests, JSON config ingestion.
+"""CSV and SVG emission from Sweep columns, run manifests (plain dicts), JSON config ingestion.
 
 load_config parses a config file; validate_config and SweepSpec check its values.
 
@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -245,27 +245,19 @@ def load_config(path) -> tuple[DotConfig, SweepSpec]:
         raise ConfigError(f"sweep.{exc}") from None
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Snapshot of a run: config, grid and sha256 digest per emitted file."""
+def build_manifest(cfg: DotConfig, spec: SweepSpec, paths: list[WrittenPath]) -> dict:
+    """The run's {"config", "grid", "outputs"} manifest, for the outputs at paths.
 
-    config: dict
-    grid: dict
-    outputs: list[dict]
-
-
-def build_manifest(cfg: DotConfig, spec: SweepSpec, paths: list[WrittenPath]) -> RunManifest:
-    """Manifest of the outputs at paths, as write_csv and emit_svg return them.
-
-    Each digest is that of the bytes the writer wrote; no file is read back.
+    outputs lists {"path", "sha256"} per file, as write_csv and emit_svg return them; each
+    digest is that of the bytes the writer wrote, and no file is read back.
     """
-    return RunManifest(
-        config={name: getattr(cfg, name) for name in CONFIG_FIELDS},
-        grid={name: getattr(spec, name) for name in _SWEEP_SPEC_FIELDS},
-        outputs=[{"path": p.name, "sha256": p.sha256} for p in paths],
-    )
+    return {
+        "config": {name: getattr(cfg, name) for name in CONFIG_FIELDS},
+        "grid": {name: getattr(spec, name) for name in _SWEEP_SPEC_FIELDS},
+        "outputs": [{"path": p.name, "sha256": p.sha256} for p in paths],
+    }
 
 
-def write_manifest(manifest: RunManifest, path) -> WrittenPath:
-    payload = json.dumps(vars(manifest), indent=2, sort_keys=True) + "\n"
+def write_manifest(manifest: dict, path) -> WrittenPath:
+    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     return _write_new(path, [payload.encode("ascii")])

@@ -19,13 +19,14 @@ which nmr_numeric must reproduce from the full 6x6 diagonalization.  The
 numeric route deliberately ignores the F_z blocks: it is the independent
 check of the closed form, which is derived from them.
 
-The labeled basis and the three operator matrices over it (the coupling
-I+ S- + I- S+ + 2 Iz Sz, Iz and Sz) are built once per S and kept read-only,
-so build_spin_matrix only scales them by A, gamma_n B and gamma_e B and
-returns the bare real symmetric array, its rows and columns in spin_basis(S)
-order.  A resonance then pays for that assembly, one hermitian_eig (mostly
-numpy's fixed cost per operation around a ~2 us LAPACK solve; see numerics)
-and a selection and a sign on Python floats.
+The labeled basis is built per call.  Only the three operator matrices over
+it (the coupling I+ S- + I- S+ + 2 Iz Sz, Iz and Sz) are cached, built once
+per S and kept read-only, so build_spin_matrix only scales them by A,
+gamma_n B and gamma_e B and returns the bare real symmetric array, its rows
+and columns in spin_basis(S) order.  A resonance then pays for that
+assembly, one hermitian_eig (mostly numpy's fixed cost per operation around
+a ~2 us LAPACK solve; see numerics) and a selection and a sign on Python
+floats.
 """
 
 from __future__ import annotations
@@ -74,9 +75,8 @@ class NmrResult(NamedTuple):
     f0: float        # bare Larmor gamma_n * B, MHz
 
 
-@functools.cache
 def spin_basis(s_total: int) -> tuple[SpinBasisLabel, ...]:
-    """Basis ordered by descending F_z, then descending i_z (built once per S = 0 or 1)."""
+    """Basis ordered by descending F_z, then descending i_z, for S = 0 or 1 (built per call)."""
     if s_total not in (0, 1):
         raise ValueError(f"s_total must be 0 or 1, got {s_total}")
     labels = [

@@ -9,8 +9,8 @@ resonance columns equal the bare Larmor frequency, and the shift columns are
 exactly 0 where f0 > 0.
 
 SweepSpec checks its fields' types and its bounds' finiteness when built;
-run_sweep checks the grid's ranges and its own steps, which may be a numpy
-integer there.
+run_sweep checks its own steps, which may be a numpy integer there, its
+bounds' finiteness and the grid's ranges.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def sweep_row(cfg: DotConfig, x) -> Sweep:
 def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
     """Uniform inclusive grid of sweep columns, deterministic for fixed inputs.
 
-    steps must be an int or a numpy integer (not a bool) in [2, STEPS_LIMIT].  Raises
+    steps must be an int or a numpy integer (not a bool) in [2, STEPS_LIMIT], and x_min and
+    x_max finite with 0 < x_min < x_max, else ConfigError names the first bad one.  Raises
     FloatingPointError naming the first x whose row is not finite, and warns
     once when the window reaches past the x where a label above m_max takes over.
     """
@@ -96,6 +97,8 @@ def run_sweep(cfg: DotConfig, x_min: float, x_max: float, steps: int) -> Sweep:
         raise ConfigError(f"steps must be an integer, got {steps!r}")
     if not 2 <= steps <= STEPS_LIMIT:  # before the grid is allocated
         raise ConfigError(f"steps must be in [2, {STEPS_LIMIT}], got {steps}")
+    require_finite_field("x_min", x_min)
+    require_finite_field("x_max", x_max)
     if not x_min > 0:
         raise ConfigError(f"x_min must be > 0 (the bare Larmor f0 vanishes at B=0), got {x_min}")
     if not x_min < x_max:

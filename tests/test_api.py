@@ -7,9 +7,9 @@ import dotnmr
 PUBLIC = [
     "CNOT", "ConfigError", "DegenerateModelError", "DegenerateSelectionError", "DotConfig",
     "DotnmrError", "EigenSystem", "GateReport", "K_CYC_MEV_PER_T", "NmrResult",
-    "NonHermitianError", "OrbitalGround", "PulseSpec", "RunManifest",
-    "SWEEP_COLUMNS", "SpinBasisLabel", "Sweep", "SweepSpec", "TransitionPoint", "TwoQubitModel",
-    "b_field_from_ratio", "bracket_roots", "build_manifest", "build_spin_matrix",
+    "NonHermitianError", "OrbitalGround", "PulseSpec", "SWEEP_COLUMNS", "SpinBasisLabel",
+    "Sweep", "SweepSpec", "TransitionPoint", "TwoQubitModel",
+    "b_field_from_ratio", "build_manifest", "build_spin_matrix",
     "cnot_conditional", "coupling_a", "delta_cm", "delta_m", "effective_omega_ratio", "emit_svg",
     "evolve", "gate_fidelity", "ground_state_at", "hadamard", "hermitian_eig", "load_config",
     "magic_transitions", "mu_m", "nmr_closed_form", "nmr_numeric", "nuclear_larmor_mhz",
@@ -24,4 +24,4 @@ def test_public_export_set_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
-    assert len(names) == 50
+    assert len(names) == 48

@@ -141,7 +141,7 @@ def test_non_utf8_config_exits_1_naming_the_file(tmp_path, capsys):
         (["transitions"], '{"g_factor": NaN}', "g_factor"),
         (["nmr", "--x", "1.0"], '{"hyperfine_c": Infinity}', "hyperfine_c"),
         (["nmr", "--x", "1.0"], '{"hyperfine_c": 1e999}', "hyperfine_c"),
-        (["sweep", "--x-max", "inf", "--steps", "3"], "{}", "x_max"),
+        (["sweep", "--x-max", "inf", "--steps", "3"], "{}", "--x-max"),
         (["sweep"], '{"sweep": {"x_max": 1e999}}', "x_max"),
         (["nmr", "--x", "nan"], "{}", "--x"),
     ],
@@ -483,6 +483,8 @@ _X_MIN_0 = "must be > 0 (the bare Larmor f0 vanishes at B=0), got 0.0"
          "--x-max must exceed sweep.x_min, got 1.0 <= 2.0"),
         (["transitions", "--x-max", "1"], '{"sweep": {"x_min": 2.0}}',
          "--x-max must exceed sweep.x_min, got 1.0 <= 2.0"),
+        (["sweep", "--x-min", "inf"], "{}", "--x-min must be finite, got inf"),
+        (["transitions", "--x-max", "nan"], "{}", "--x-max must be finite, got nan"),
     ],
 )
 def test_grid_errors_name_each_key_as_given_by_both_commands(tmp_path, monkeypatch, capsys, argv,
@@ -570,7 +572,7 @@ def _ran(argv, capsys):
 def test_command_parser_route_matches_the_top_level_parser(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dev.json").write_text('{"alpha_tilde": 3.0, "sweep": {"steps": 40}}')
-    top_level = cli.build_parser().parse_args
+    top_level = cli._parsers()[0].parse_args
     assert _parsed(cli._parse, argv, capsys) == _parsed(top_level, argv, capsys)
     got = _ran(argv, capsys)
     if {"-h", "--help"} & set(argv):  # help goes to stdout and exits 0

@@ -10,12 +10,11 @@ from scipy.linalg import expm
 from dotnmr import (
     DotConfig,
     NonHermitianError,
-    bracket_roots,
     evolve,
     hermitian_eig,
 )
 from dotnmr import numerics
-from dotnmr.numerics import require_hermitian
+from dotnmr.numerics import bracket_roots, require_hermitian
 from dotnmr.spectrum import _crossing, mu_m
 
 

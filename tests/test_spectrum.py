@@ -274,7 +274,7 @@ def test_magic_transitions_bad_range(default_cfg):
 def test_triplet_crossing_independent_of_zeeman_across_g():
     # Zeeman cancels between two triplets: the (1,1)/(3,1) energy crossing
     # must not move with g
-    from dotnmr import bracket_roots
+    from dotnmr.numerics import bracket_roots
 
     crossings = []
     for g in (0.0, 1.0, 2.0):

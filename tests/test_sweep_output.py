@@ -44,7 +44,7 @@ from dotnmr import _numfmt
 from dotnmr._numfmt import f2_point_runs, g9_rows
 from dotnmr.cli import main
 from dotnmr.config import CONFIG_FIELDS, validate_config
-from dotnmr.output import RunManifest, WrittenPath
+from dotnmr.output import WrittenPath
 from dotnmr.sweep import SweepSpec
 
 ROW_FORMAT = ",".join("%d" if c in ("m_abs", "s_total") else "%.9g" for c in SWEEP_COLUMNS) + "\n"
@@ -69,6 +69,15 @@ def test_sweep_bad_bounds(default_cfg):
         run_sweep(default_cfg, 1.0, 0.5, 100)
     with pytest.raises(ConfigError):
         run_sweep(default_cfg, 0.1, 5.0, 1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bound", ["x_min", "x_max"])
+def test_sweep_refuses_a_non_finite_bound_by_name(default_cfg, bound, value):
+    # x_max = inf used to warn from the grid's arithmetic, then fail as "x must be >= 0, got nan"
+    bounds = {"x_min": 0.05, "x_max": 5.0, bound: value}
+    with pytest.raises(ConfigError, match=f"^{bound} must be finite, got {value}$"):
+        run_sweep(default_cfg, bounds["x_min"], bounds["x_max"], 10)
 
 
 @pytest.mark.parametrize("steps", [2.5, 3.7, 5.0, True, "5", None])
@@ -776,13 +785,13 @@ def test_library_route_and_load_config_agree_on_json_dicts(scratch_dir, config, 
 
 
 def reference_manifest_bytes(cfg, spec, paths) -> bytes:
-    """manifest.json as dataclasses.asdict serialized it."""
-    manifest = RunManifest(
-        config=dataclasses.asdict(cfg),
-        grid=dataclasses.asdict(spec),
-        outputs=[{"path": p.name, "sha256": p.sha256} for p in paths],
-    )
-    return (json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n").encode()
+    """manifest.json from config and grid as dataclasses.asdict gives them."""
+    manifest = {
+        "config": dataclasses.asdict(cfg),
+        "grid": dataclasses.asdict(spec),
+        "outputs": [{"path": p.name, "sha256": p.sha256} for p in paths],
+    }
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
 
 def written(name, digest):
